@@ -58,10 +58,12 @@ class CovariancePair:
 
     def __post_init__(self):
         for name, arr in (("psi_vv", self.psi_vv), ("psi_dd", self.psi_dd)):
+            # one min/max pass; NaN, +-inf and negatives all fail it
+            if arr.size == 0 or (arr.min() >= 0 and arr.max() < np.inf):
+                continue
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be nonnegative")
+            raise ValueError(f"{name} must be nonnegative")
 
 
 class KalmanFilter:

@@ -13,7 +13,7 @@ signal finite so runs can always be scored.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,6 +54,10 @@ class LoopScene:
     near_rir: Optional[Rir] = None
     sat: float = 1.0
     seed: int = 0
+    # [near_end, near_rir, target or None]: one slot that dataclasses.replace
+    # passes on, so copies sharing both signals reverberate the target once
+    _target_slot: Optional[list] = field(default=None, compare=False, repr=False,
+                                           kw_only=True)
 
     def __post_init__(self):
         if self.gain < 0:
@@ -66,6 +70,9 @@ class LoopScene:
             raise ValueError("feedback_rir sample rate differs from near_end")
         if self.near_rir is not None and self.near_rir.sample_rate != self.near_end.sample_rate:
             raise ValueError("near_rir sample rate differs from near_end")
+        slot = self._target_slot
+        if slot is None or slot[0] is not self.near_end or slot[1] is not self.near_rir:
+            object.__setattr__(self, "_target_slot", [self.near_end, self.near_rir, None])
 
     @property
     def sample_rate(self) -> int:
@@ -77,10 +84,21 @@ class LoopScene:
 
     def target(self) -> np.ndarray:
         """Signal the suppressor should recover: the source, reverberated
-        through near_rir when one is given."""
-        if self.near_rir is None:
-            return self.near_end.samples.copy()
-        return convolve_batch(self.near_end.samples, self.near_rir.taps)
+        through near_rir when one is given.
+
+        Computed on the first call and shared, read-only, with every
+        ``dataclasses.replace`` copy that keeps the same near_end and
+        near_rir objects; their sample arrays must not change afterwards.
+        """
+        slot = self._target_slot
+        if slot[2] is None:
+            if self.near_rir is None:
+                target = self.near_end.samples.view()
+            else:
+                target = convolve_batch(self.near_end.samples, self.near_rir.taps)
+            target.setflags(write=False)
+            slot[2] = target
+        return slot[2]
 
 
 @dataclass(frozen=True)
@@ -91,7 +109,8 @@ class SceneResult:
     suppressor's pipeline delay; use :meth:`s_hat_aligned` when comparing
     against ``s``.  ``howl_event`` is the index of the sample at which the
     suppressor output first stayed above the detector threshold for more than
-    the configured run length, or None.
+    the configured run length, or None.  ``s`` is a read-only view of the
+    scene's shared target.
     """
 
     s: np.ndarray
@@ -133,6 +152,8 @@ def _howl_scan(samples: np.ndarray, det: HowlDetectorConfig, carry: int):
     if n == 0:
         return None, carry
     loud = np.abs(samples) > det.amp_threshold
+    if not loud.any():
+        return None, 0
     idx = np.arange(n)
     last_quiet = np.maximum.accumulate(np.where(~loud, idx, -1))
     run = np.where(last_quiet < 0, idx + 1 + carry, idx - last_quiet)
@@ -160,13 +181,21 @@ class DelayLine:
         self._pos = 0
 
     def peek(self, count: int) -> np.ndarray:
-        idx = (self._pos + np.arange(count)) % len(self._buf)
-        return self._buf[idx].copy()
+        buf, pos = self._buf, self._pos
+        if count > len(buf):
+            raise ValueError("cannot peek past the line length")
+        wrap = pos + count - len(buf)
+        if wrap <= 0:
+            return buf[pos:pos + count].copy()
+        return np.concatenate((buf[pos:], buf[:wrap]))
 
     def push(self, chunk: np.ndarray):
-        idx = (self._pos + np.arange(len(chunk))) % len(self._buf)
-        self._buf[idx] = chunk
-        self._pos = (self._pos + len(chunk)) % len(self._buf)
+        buf, pos = self._buf, self._pos
+        head = min(len(chunk), len(buf) - pos)
+        buf[pos:pos + head] = chunk[:head]
+        if head < len(chunk):
+            buf[:len(chunk) - head] = chunk[head:]
+        self._pos = (pos + len(chunk)) % len(buf)
 
 
 class ClosedLoop:

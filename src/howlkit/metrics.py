@@ -9,8 +9,6 @@ for perceptual scores; it compares log-magnitude spectra frame by frame.
 
 import csv
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,28 +167,22 @@ def _eval_one(scene_id, scene, variant_name, factory, det, stft_cfg):
 
 
 def evaluate(scenes, variants, gains=(1.5, 2.0, 2.5, 3.0), det: HowlDetectorConfig = None,
-             stft_cfg: StftConfig = None, threads: int = None) -> EvalReport:
+             stft_cfg: StftConfig = None) -> EvalReport:
     """Run every AHS variant over every scene at every gain.
 
     ``variants`` maps name -> factory(scene) -> suppressor callback; a fresh
     suppressor is built per run so filter state never leaks between scenes.
     ``scenes`` are templates whose gain field is overridden by each sweep
-    point.  Ordering of rows is deterministic regardless of thread count
-    (``threads`` defaults to the HOWLKIT_THREADS env var, serial otherwise).
+    point; the swept copies share each template's target, so it is
+    reverberated once per scene.  Rows come in a fixed order: variant name,
+    then gain, then scene.
     """
-    if threads is None:
-        threads = int(os.environ.get("HOWLKIT_THREADS", "1"))
     if stft_cfg is None:
         stft_cfg = StftConfig()
-    jobs = []
+    rows = []
     for name in sorted(variants):
         for gain in gains:
             for sid, scene in enumerate(scenes):
                 swept = replace(scene, gain=float(gain)) if scene.gain != gain else scene
-                jobs.append((sid, swept, name, variants[name], det, stft_cfg))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda args: _eval_one(*args), jobs))
-    else:
-        rows = [_eval_one(*job) for job in jobs]
+                rows.append(_eval_one(sid, swept, name, variants[name], det, stft_cfg))
     return EvalReport(rows=tuple(rows))

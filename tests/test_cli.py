@@ -261,15 +261,3 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path, capsys):
     assert run("eval", "--out", tmp_path / "o", "--checkpoint", tmp_path / "nope",
                "--scenes", 1, "--duration", 1.0) == EXIT_IO
     capsys.readouterr()
-
-
-def test_eval_threading_does_not_change_the_report(tmp_path, capsys, monkeypatch):
-    serial, threaded = tmp_path / "s", tmp_path / "t"
-    monkeypatch.delenv("HOWLKIT_THREADS", raising=False)
-    assert run("eval", "--out", serial, "--scenes", 2, "--duration", 1.0,
-               "--gains", "1.5,2") == EXIT_OK
-    monkeypatch.setenv("HOWLKIT_THREADS", "4")
-    assert run("eval", "--out", threaded, "--scenes", 2, "--duration", 1.0,
-               "--gains", "1.5,2") == EXIT_OK
-    capsys.readouterr()
-    assert read_bytes(serial / "report.csv") == read_bytes(threaded / "report.csv")

@@ -1,11 +1,13 @@
 """Closed-loop simulator: recursion correctness, howling, detector rules."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from howlkit.loop import (
+    DelayLine,
     HowlDetectorConfig,
     IdentityAhs,
     LoopScene,
@@ -155,6 +157,27 @@ def test_detector_carry_spans_chunks():
     assert fired_seq == [False, False, True]
 
 
+def test_detector_quiet_chunk_closes_an_open_run():
+    fired, carry = detect_howl_run(np.full(64, 0.5), HowlDetectorConfig(), carry=99)
+    assert not fired and carry == 0
+    fired, carry = detect_howl_run(np.full(64, 1.5), HowlDetectorConfig(), carry=99)
+    assert fired and carry == 163
+
+
+def test_delay_line_matches_modular_index_reference():
+    rng = np.random.default_rng(5)
+    line, ref, pos = DelayLine(10), np.zeros(10), 0
+    for count in (3, 4, 10, 7, 1, 10, 9, 2, 6, 5):
+        idx = (pos + np.arange(count)) % 10
+        np.testing.assert_array_equal(line.peek(count), ref[idx])
+        chunk = rng.standard_normal(count)
+        line.push(chunk)
+        ref[idx] = chunk
+        pos = (pos + count) % 10
+        np.testing.assert_array_equal(line._buf, ref)
+        assert line._pos == pos
+
+
 def test_detector_negative_excursions_count():
     fired, _ = detect_howl_run(np.full(120, -2.0), HowlDetectorConfig())
     assert fired
@@ -188,6 +211,51 @@ def test_near_rir_reverberates_target():
     near = Rir(np.array([1.0, 0.0, 0.25]), FS)
     scene = LoopScene(dry, Rir(np.array([1.0]), FS), gain=1.0, delay=0.01, near_rir=near)
     np.testing.assert_array_equal(scene.target(), convolve_batch(dry.samples, near.taps))
+
+
+def reverberant_scene(**changes):
+    dry = noise_signal(0.1, 1)
+    near = Rir(np.array([1.0, 0.0, 0.25]), FS)
+    scene = LoopScene(dry, Rir(np.array([1.0]), FS), gain=1.0, delay=0.01, near_rir=near)
+    return replace(scene, **changes) if changes else scene
+
+
+def test_gain_sweep_copies_share_the_target():
+    scene = reverberant_scene()
+    target = scene.target()
+    swept = replace(scene, gain=2.5)
+    assert swept == LoopScene(scene.near_end, scene.feedback_rir, gain=2.5, delay=0.01,
+                              near_rir=scene.near_rir)
+    assert swept.target() is target
+    fresh = LoopScene(TimeSignal(scene.near_end.samples.copy(), FS), scene.feedback_rir,
+                      gain=2.5, delay=0.01, near_rir=Rir(scene.near_rir.taps.copy(), FS))
+    np.testing.assert_array_equal(swept.target(), fresh.target())
+
+
+def test_replaced_near_rir_recomputes_the_target():
+    scene = reverberant_scene()
+    scene.target()
+    other = Rir(np.array([0.5, 0.5]), FS)
+    moved = replace(scene, near_rir=other)
+    np.testing.assert_array_equal(moved.target(), convolve_batch(scene.near_end.samples, other.taps))
+    # the original keeps its own target, and so does a copy made before any call
+    np.testing.assert_array_equal(scene.target(),
+                                  convolve_batch(scene.near_end.samples, scene.near_rir.taps))
+    early = reverberant_scene()
+    dry = replace(early, near_rir=None)
+    np.testing.assert_array_equal(dry.target(), early.near_end.samples)
+    np.testing.assert_array_equal(early.target(),
+                                  convolve_batch(early.near_end.samples, early.near_rir.taps))
+
+
+def test_target_and_result_stream_are_read_only():
+    for scene in (reverberant_scene(), reverberant_scene(near_rir=None)):
+        with pytest.raises(ValueError):
+            scene.target()[0] = 1.0
+        res = run_scene(scene, IdentityAhs())
+        with pytest.raises(ValueError):
+            res.s[0] = 1.0
+        assert scene.near_end.samples.flags.writeable
 
 
 def test_s_hat_aligned_shifts_by_latency():

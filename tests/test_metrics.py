@@ -2,10 +2,12 @@
 variant/gain sweep evaluator."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from howlkit import loop
 from howlkit.ahs import KalmanAhs
 from howlkit.loop import IdentityAhs, LoopScene
 from howlkit.metrics import (SDR_CAP_DB, SDR_FLOOR_DB, EvalReport, EvalRow,
@@ -224,16 +226,20 @@ def test_evaluate_deterministic():
     assert r1.rows == r2.rows
 
 
-def test_evaluate_threaded_matches_serial(monkeypatch):
-    scenes = [quick_scene(seed=i) for i in range(2)]
-    serial = evaluate(scenes, variants_identity_kalman(), gains=(1.5, 2.0),
-                      threads=1)
-    threaded = evaluate(scenes, variants_identity_kalman(), gains=(1.5, 2.0),
-                        threads=3)
-    assert serial.rows == threaded.rows
-    monkeypatch.setenv("HOWLKIT_THREADS", "2")
-    via_env = evaluate(scenes, variants_identity_kalman(), gains=(1.5, 2.0))
-    assert via_env.rows == serial.rows
+def test_evaluate_reverberates_each_scene_once(monkeypatch):
+    calls = []
+    real = loop.convolve_batch
+
+    def counting(signal, taps):
+        calls.append(len(signal))
+        return real(signal, taps)
+
+    monkeypatch.setattr(loop, "convolve_batch", counting)
+    near = Rir(np.array([1.0, 0.0, 0.3]), FS)
+    scenes = [replace(quick_scene(seed=i), near_rir=near) for i in range(2)]
+    report = evaluate(scenes, variants_identity_kalman(), gains=(1.5, 2.0, 2.5))
+    assert len(report.rows) == 2 * 2 * 3
+    assert len(calls) == len(scenes)
 
 
 def test_evaluate_never_mutates_network_weights():
