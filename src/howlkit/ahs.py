@@ -130,9 +130,10 @@ class KalmanAhs:
 
         filt.push_reference(ref if self._ref_hist is None else x_raw)
         if self._ref_hist is not None:
-            self._ref_hist = np.roll(self._ref_hist, 1, axis=1)
-            self._ref_hist[:, 0] = ref
-            hist_pred = self._ref_hist
+            hist_pred = np.empty_like(self._ref_hist)  # fresh: the tape keeps the old one
+            hist_pred[:, 1:] = self._ref_hist[:, :-1]
+            hist_pred[:, 0] = ref
+            self._ref_hist = hist_pred
             s_hat = y_frame - np.sum(hist_pred * filt.W, axis=1)
         else:
             hist_pred = filt.X_hist
@@ -250,29 +251,33 @@ class KalmanAhs:
             gPraw = gP * e["pos"]
             gdd = gPraw
             decay = 1.0 - alpha * (K * X).real
-            g_decay = A2 * gPraw * P
-            gP_new = A2 * gPraw * decay
-            gK = (-alpha * g_decay) * np.conj(X)
-            gH_frame = np.zeros(shape, dtype=np.complex128)
+            a2_gPraw = A2 * gPraw
+            g_decay = a2_gPraw * P
+            gP_new = a2_gPraw * decay
+            conj_X, conj_K = np.conj(X), np.conj(K)
+            g_K_decay = -alpha * g_decay
+            gK = g_K_decay * conj_X
             if everywhere:
-                gH_frame += (-alpha * g_decay) * np.conj(K)
+                gH_frame = g_K_decay * conj_K
+            else:
+                gH_frame = np.zeros(shape, dtype=np.complex128)
 
             # weight update W(k+1) = A (W + K s_hat)
             gW_new = A * gW
-            gK += A * gW * np.conj(s_hat)[:, None]
-            gS = gS + A * np.sum(gW * np.conj(K), axis=1)
+            gK += gW_new * np.conj(s_hat)[:, None]
+            gS = gS + A * np.sum(gW * conj_K, axis=1)
 
             # gain K = P conj(X) / (sum |X|^2 P + vv + eps)
             xpow = X.real**2 + X.imag**2
             denom = np.sum(xpow * P, axis=1) + vv + eps
-            t1 = P * np.conj(X)
+            PX = P * X  # conj(P conj(X))
             g_t1 = gK / denom[:, None]
-            gdenom = -np.sum((gK * np.conj(t1)).real, axis=1) / (denom * denom)
+            gdenom = -np.sum((gK * PX).real, axis=1) / (denom * denom)
             gP_new += (g_t1 * X).real
             gP_new += gdenom[:, None] * xpow
             if everywhere:
                 gH_frame += P * np.conj(g_t1)
-                gH_frame += 2.0 * gdenom[:, None] * (P * X)
+                gH_frame += 2.0 * gdenom[:, None] * PX
             gvv = gdenom
 
             # covariance source
@@ -290,7 +295,7 @@ class KalmanAhs:
                 gW_new += (2.0 * (1.0 - A2)) * gdd * W
 
             # prediction s_hat = Y - sum_l Hp W
-            gW_new += -np.conj(Hp) * gS[:, None]
+            gW_new += -(conj_X if Hp is X else np.conj(Hp)) * gS[:, None]
             gH_frame += -np.conj(W) * gS[:, None]
 
             # history shift: slot 0 holds this frame's reference

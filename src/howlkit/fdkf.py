@@ -89,8 +89,12 @@ class KalmanFilter:
     def push_reference(self, x_new):
         """Shift the reference history and place the new frame at slot 0."""
         x_new = self._check_frame(x_new, "reference frame")
-        self.X_hist = np.roll(self.X_hist, 1, axis=1)
-        self.X_hist[:, 0] = x_new
+        # a fresh array, never a shift in place: training tapes keep the
+        # previous history by reference
+        hist = np.empty_like(self.X_hist)
+        hist[:, 1:] = self.X_hist[:, :-1]
+        hist[:, 0] = x_new
+        self.X_hist = hist
 
     def predict(self, y):
         """Near-end estimate: microphone frame minus the modelled feedback."""

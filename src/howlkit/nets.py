@@ -33,12 +33,11 @@ def normalize_log_power(log_pow: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each branch is 1/(1+exp(-x)) for x >= 0 and
+    # exp(x)/(1+exp(x)) below, element for element
+    ex = np.exp(-np.abs(x))
+    den = 1.0 + ex
+    return np.where(x >= 0, 1.0 / den, ex / den)
 
 
 def _softplus(x):
@@ -110,10 +109,11 @@ class LstmNet:
         new_h, new_c, layer_caches = [], [], []
         for l, H in enumerate(self.hidden_sizes):
             z = self.params[f"wx{l}"] @ inp + self.params[f"wh{l}"] @ state.h[l] + self.params[f"b{l}"]
-            i = _sigmoid(z[:H])
-            f = _sigmoid(z[H : 2 * H])
+            gates = _sigmoid(z)  # one pass for i, f and o; its cell slice is unused
+            i = gates[:H]
+            f = gates[H : 2 * H]
             g = np.tanh(z[2 * H : 3 * H])
-            o = _sigmoid(z[3 * H :])
+            o = gates[3 * H :]
             c = f * state.c[l] + i * g
             tc = np.tanh(c)
             h = o * tc
@@ -159,7 +159,8 @@ class LstmNet:
             dv = d_out * _sigmoid(v)
         else:
             dv = d_out
-        grads["w_out"] += np.outer(dv, h_last)
+        # einsum's outer product is faster than broadcasting at these sizes
+        grads["w_out"] += np.einsum("i,j->ij", dv, h_last)
         grads["b_out"] += dv
         dh = self.params["w_out"].T @ dv
 
@@ -177,8 +178,8 @@ class LstmNet:
                 (dc * i) * (1.0 - g * g),
                 do * o * (1.0 - o),
             ])
-            grads[f"wx{l}"] += np.outer(dz, inp)
-            grads[f"wh{l}"] += np.outer(dz, h_prev)
+            grads[f"wx{l}"] += np.einsum("i,j->ij", dz, inp)
+            grads[f"wh{l}"] += np.einsum("i,j->ij", dz, h_prev)
             grads[f"b{l}"] += dz
             d_prev_h[l] = self.params[f"wh{l}"].T @ dz
             d_prev_c[l] = dc * f

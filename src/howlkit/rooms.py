@@ -13,6 +13,7 @@ can actually drive the simulated loop unstable.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.signal import lfilter
 
 from .signals import TimeSignal
@@ -193,7 +194,41 @@ def convolve_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if len(taps) == 1:
         return taps[0] * x
-    return lfilter(np.asarray(taps, dtype=np.float64), [1.0, 0.0], x)
+    return _direct_form(x, np.asarray(taps, dtype=np.float64))
+
+
+def _direct_form(x, taps):
+    return lfilter(taps, [1.0, 0.0], x)
+
+
+def convolve_batch_peak(x: np.ndarray, taps: np.ndarray) -> float:
+    """``max |convolve_batch(x, taps)|``, bit for bit, for a fraction of its cost.
+
+    An FFT convolution finds the samples that can hold the peak.  It and the
+    direct form each sit within ~1e-13 ||x|| ||taps|| of the exact sums, far
+    inside ``tol``, so the peak sample's FFT value is within ``2 tol`` of the
+    FFT maximum.  Only those samples are recomputed with the direct form,
+    each restarted from zero state ``len(taps) - 1`` samples early, which
+    repeats the full run's arithmetic for that sample.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.float64)
+    n, m = len(x), len(taps)
+    if m == 1 or n < 8 * m:
+        return float(np.max(np.abs(convolve_batch(x, taps))))
+    size = next_fast_len(n + m - 1, real=True)
+    spec = np.fft.rfft(x, size)
+    spec *= np.fft.rfft(taps, size)
+    approx = np.abs(np.fft.irfft(spec, size)[:n])
+    tol = 1e-9 * np.linalg.norm(x) * np.linalg.norm(taps)
+    cand = np.flatnonzero(approx >= np.max(approx) - 2.0 * tol)
+    if not np.isfinite(tol) or len(cand) * m > n // 4:
+        return float(np.max(np.abs(convolve_batch(x, taps))))
+    peak = 0.0
+    for c in cand:
+        lo = max(0, c - (m - 1))
+        peak = max(peak, abs(_direct_form(x[lo: c + 1], taps)[-1]))
+    return float(peak)
 
 
 def save_rir(path: str, rir: Rir):

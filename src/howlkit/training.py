@@ -27,7 +27,7 @@ from .fdkf import FdkfConfig
 from .loop import ClosedLoop, LoopScene
 from .metrics import sdr
 from .nets import load_params, make_cov_dd_net, make_cov_vv_net, make_mask_net, save_params
-from .rooms import Rir, RoomSpec, convolve_batch, generate_rir, sabine_min_rt60
+from .rooms import Rir, RoomSpec, convolve_batch_peak, generate_rir, sabine_min_rt60
 from .signals import StftConfig, StreamingStft, TimeSignal
 
 # The loudspeaker-to-microphone path is kept short enough that the
@@ -351,7 +351,7 @@ class SceneSampler:
                                      sample_rate=fs, max_rir_len=NEAR_RIR_LEN))
 
         dry = self._utterance(rng, int(round(self.duration * fs)))
-        target_peak = np.max(np.abs(convolve_batch(dry, near.taps)))
+        target_peak = convolve_batch_peak(dry, near.taps)
         if target_peak > 0:
             dry = dry * (0.5 / target_peak)
 
@@ -566,11 +566,10 @@ def train_scene(nets, scene: LoopScene, cfg: TrainConfig, optimizer=None):
     return nets, events[0]
 
 
-def _validate(nets, sampler: SceneSampler, cfg: TrainConfig) -> float:
+def _validate(nets, scenes, cfg: TrainConfig) -> float:
     from .loop import run_scene  # local import keeps module load light
     scores = []
-    for i in range(cfg.validation_scenes):
-        scene = sampler.scene(i, gain=cfg.validation_gain)
+    for scene in scenes:
         res = run_scene(scene, build_ahs(nets, scene, mask_scope=cfg.mask_scope))
         scores.append(sdr(res.s, res.s_hat_aligned()))
     return float(np.mean(scores))
@@ -624,6 +623,7 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
     log_file = open(log_path, "w", buffering=1) if log_path else None
     best_sdr = -np.inf
     best_dir = os.path.join(checkpoint_dir, "best") if checkpoint_dir else None
+    val_scenes = None  # the same held-out scenes every epoch, built once
     try:
         for epoch in range(cfg.epochs):
             optimizer.lr = cfg.lr * cfg.lr_decay ** epoch
@@ -637,7 +637,10 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
                     if log_file:
                         log_file.write(event.to_json() + "\n")
             if val_sampler is not None and cfg.validation_scenes > 0:
-                score = _validate(nets, val_sampler, cfg)
+                if val_scenes is None:
+                    val_scenes = [val_sampler.scene(i, gain=cfg.validation_gain)
+                                  for i in range(cfg.validation_scenes)]
+                score = _validate(nets, val_scenes, cfg)
                 if log_file:
                     log_file.write(json.dumps({"epoch": epoch, "val_sdr": score}) + "\n")
                 if score > best_sdr:

@@ -10,6 +10,7 @@ from howlkit.rooms import (
     RoomSpec,
     StreamingConvolver,
     convolve_batch,
+    convolve_batch_peak,
     convolve_stream,
     generate_rir,
     load_rir,
@@ -114,6 +115,22 @@ def test_streaming_equals_batch_bitwise_random_chunking():
     # and the batch path agrees with the brute-force direct oracle
     oracle = direct_convolution_oracle(x[:200], h)
     np.testing.assert_allclose(batch[:200], oracle, rtol=1e-12, atol=1e-14)
+
+
+def test_batch_peak_is_bitwise_the_peak_of_the_direct_form():
+    rng = np.random.default_rng(3)
+    rir = generate_rir(RoomSpec(**ROOM, rt60=0.3, max_rir_len=2048))
+    cases = [(rng.standard_normal(40000) * np.hanning(40000), rir.taps),
+             (rng.standard_normal(20000) * 1e-3, rng.standard_normal(1500)),
+             (np.r_[np.zeros(9000), 1.0, np.zeros(9000)], rir.taps),   # lone impulse
+             (np.ones(30000), np.ones(512)),                          # flat plateau: many ties
+             (np.zeros(30000), rir.taps),
+             (rng.standard_normal(300), rir.taps),                    # shorter than the taps
+             (rng.standard_normal(1000), np.array([-0.7]))]
+    for x, taps in cases:
+        want = np.max(np.abs(convolve_batch(x, taps)))
+        got = convolve_batch_peak(x, taps)
+        assert np.float64(got).tobytes() == want.tobytes()
 
 
 def test_rate_mismatch_rejected():
