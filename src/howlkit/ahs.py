@@ -16,9 +16,11 @@ covariance injection and (unless stop_grad_filter is set) the Kalman
 recursion itself, producing exact gradients for all attached networks.
 """
 
+import copy
+
 import numpy as np
 
-from .fdkf import ClassicalCovariances, CovariancePair, FdkfConfig, KalmanFilter
+from .fdkf import ClassicalCovariances, CovariancePair, FdkfConfig, KalmanFilter, shift_in
 from .loop import DelayLine
 from .nets import mask_apply, normalize_log_power
 from .signals import StftConfig, StreamingIstft, StreamingStft, log_power
@@ -129,15 +131,11 @@ class KalmanAhs:
             ref = x_raw
 
         filt.push_reference(ref if self._ref_hist is None else x_raw)
-        if self._ref_hist is not None:
-            hist_pred = np.empty_like(self._ref_hist)  # fresh: the tape keeps the old one
-            hist_pred[:, 1:] = self._ref_hist[:, :-1]
-            hist_pred[:, 0] = ref
-            self._ref_hist = hist_pred
-            s_hat = y_frame - np.sum(hist_pred * filt.W, axis=1)
-        else:
+        if self._ref_hist is None:
             hist_pred = filt.X_hist
-            s_hat = filt.predict(y_frame)
+        else:
+            hist_pred = self._ref_hist = shift_in(self._ref_hist, ref)
+        s_hat = filt.predict(y_frame, hist_pred)
 
         W_pre, P_pre = filt.W, filt.P
         vcache = dcache = rss = None
@@ -313,48 +311,20 @@ class KalmanAhs:
 
     # ----------------------------------------------------- state management
 
+    def _shared(self):
+        """deepcopy memo that maps each attached net to itself."""
+        return {id(net): net for net in (self.mask_net, self.vv_net, self.dd_net)
+                if net is not None}
+
     def snapshot(self):
-        """Deep copy of all stream state (weights excluded: nets are shared)."""
-        return {
-            "W": self.filt.W.copy(),
-            "P": self.filt.P.copy(),
-            "X_hist": self.filt.X_hist.copy(),
-            "clamp_count": self.filt.clamp_count,
-            "stft_y": self._stft_y._buf.copy(),
-            "stft_x": self._stft_x._buf.copy(),
-            "ola": self._istft._ola.copy(),
-            "mirror_buf": self._mirror._buf.copy(),
-            "mirror_pos": self._mirror._pos,
-            "x_prev": self._x_prev.copy(),
-            "ref_hist": None if self._ref_hist is None else self._ref_hist.copy(),
-            "mask_state": None if self._mask_state is None else self._mask_state.copy(),
-            "vv_state": None if self._vv_state is None else self._vv_state.copy(),
-            "dd_state": None if self._dd_state is None else self._dd_state.copy(),
-            "smoothed_vv": None if self._classical is None else self._classical.smoothed_vv.copy(),
-            "frames_seen": self.frames_seen,
-        }
+        """Deep copy of all stream state; the attached nets are shared, not copied."""
+        state = {k: v for k, v in vars(self).items() if k != "_tape"}
+        return copy.deepcopy(state, self._shared())
 
     def restore(self, snap):
-        """Reset all stream state to a snapshot taken on this processor."""
-        self.filt.W = snap["W"].copy()
-        self.filt.P = snap["P"].copy()
-        self.filt.X_hist = snap["X_hist"].copy()
-        self.filt.clamp_count = snap["clamp_count"]
-        self._stft_y._buf = snap["stft_y"].copy()
-        self._stft_x._buf = snap["stft_x"].copy()
-        self._istft._ola = snap["ola"].copy()
-        self._mirror._buf = snap["mirror_buf"].copy()
-        self._mirror._pos = snap["mirror_pos"]
-        self._x_prev = snap["x_prev"].copy()
-        if snap["ref_hist"] is not None:
-            self._ref_hist = snap["ref_hist"].copy()
-        if snap["mask_state"] is not None:
-            self._mask_state = snap["mask_state"].copy()
-        if snap["vv_state"] is not None:
-            self._vv_state = snap["vv_state"].copy()
-        if snap["dd_state"] is not None:
-            self._dd_state = snap["dd_state"].copy()
-        if snap["smoothed_vv"] is not None:
-            self._classical.smoothed_vv = snap["smoothed_vv"].copy()
-        self.frames_seen = snap["frames_seen"]
+        """Reset all stream state to a snapshot taken on this processor.
+
+        The snapshot stays reusable, and an open window is dropped.
+        """
+        vars(self).update(copy.deepcopy(snap, self._shared()))
         self._tape = None

@@ -114,7 +114,7 @@ def cmd_simulate(args) -> None:
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
     _write_config_echo(cfg, out)
-    duration = args.duration if args.duration else cfg.loop_knobs()["duration"]
+    duration = args.duration if args.duration is not None else cfg.loop_knobs()["duration"]
     sampler = cfg.sampler(args.split, duration=duration)
     det = cfg.detector()
     rows = []
@@ -207,7 +207,7 @@ def _suppress_scene(args, cfg: RunConfig, out: str, factory) -> None:
     """Closed-loop run over one synthetic scene."""
     stft_cfg = cfg.stft()
     knobs = cfg.loop_knobs()
-    duration = args.duration if args.duration else knobs["duration"]
+    duration = args.duration if args.duration is not None else knobs["duration"]
     sampler = cfg.sampler("test", duration=duration)
     gain = knobs["gain"] if args.gain is None else args.gain
     scene = sampler.scene(args.scene, gain=gain)
@@ -284,9 +284,9 @@ def cmd_train(args) -> None:
     out = _out_dir(args, cfg)
     _write_config_echo(cfg, out)
     tcfg = cfg.trainer()
-    if args.epochs:
+    if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
-    if args.duration:
+    if args.duration is not None:
         tcfg = dataclasses.replace(tcfg, duration=args.duration)
 
     corpus_dir = args.corpus or cfg.paths()["corpus_dir"]
@@ -321,7 +321,7 @@ def cmd_eval(args) -> None:
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
     _write_config_echo(cfg, out)
-    duration = args.duration if args.duration else cfg.trainer().duration
+    duration = args.duration if args.duration is not None else cfg.trainer().duration
     sampler = cfg.sampler("test", duration=duration)
     scenes = sampler.scenes(args.scenes)
 

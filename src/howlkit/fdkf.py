@@ -66,6 +66,18 @@ class CovariancePair:
             raise ValueError(f"{name} must be nonnegative")
 
 
+def shift_in(hist, frame):
+    """History with ``frame`` at slot 0 and every older frame one slot later.
+
+    Returns a fresh array, never a shift in place: training tapes keep the
+    previous history by reference.
+    """
+    out = np.empty_like(hist)
+    out[:, 1:] = hist[:, :-1]
+    out[:, 0] = frame
+    return out
+
+
 class KalmanFilter:
     """Stateful per-bin Kalman recursion; one instance per audio stream.
 
@@ -88,18 +100,16 @@ class KalmanFilter:
 
     def push_reference(self, x_new):
         """Shift the reference history and place the new frame at slot 0."""
-        x_new = self._check_frame(x_new, "reference frame")
-        # a fresh array, never a shift in place: training tapes keep the
-        # previous history by reference
-        hist = np.empty_like(self.X_hist)
-        hist[:, 1:] = self.X_hist[:, :-1]
-        hist[:, 0] = x_new
-        self.X_hist = hist
+        self.X_hist = shift_in(self.X_hist, self._check_frame(x_new, "reference frame"))
 
-    def predict(self, y):
-        """Near-end estimate: microphone frame minus the modelled feedback."""
+    def predict(self, y, hist=None):
+        """Near-end estimate: microphone frame minus the modelled feedback.
+
+        ``hist`` replaces X_hist as the reference history to predict against.
+        """
         y = self._check_frame(y, "microphone frame")
-        return y - np.sum(self.X_hist * self.W, axis=1)
+        hist = self.X_hist if hist is None else hist
+        return y - np.sum(hist * self.W, axis=1)
 
     def gain(self, cov: CovariancePair) -> np.ndarray:
         """Kalman gain per bin and tap."""
@@ -139,53 +149,3 @@ class ClassicalCovariances:
         self.smoothed_vv = b * self.smoothed_vv + (1.0 - b) * power
         psi_dd = (1.0 - self.cfg.A**2) * (filt.W.real**2 + filt.W.imag**2)
         return CovariancePair(self.smoothed_vv.copy(), psi_dd)
-
-    def reset(self):
-        self.smoothed_vv[:] = 0.0
-
-
-_SNAPSHOT_VERSION = 1
-
-
-def save_state(filt: KalmanFilter, path: str):
-    """Write filter state and config to a binary snapshot."""
-    cfg = filt.cfg
-    with open(path, "wb") as f:
-        np.savez(
-            f,
-            version=np.array(_SNAPSHOT_VERSION),
-            W=filt.W,
-            P=filt.P,
-            X_hist=filt.X_hist,
-            clamp_count=np.array(filt.clamp_count),
-            num_bins=np.array(cfg.num_bins),
-            num_taps=np.array(cfg.num_taps),
-            A=np.array(cfg.A),
-            alpha=np.array(cfg.alpha),
-            p_init=np.array(cfg.p_init),
-            eps=np.array(cfg.eps),
-            beta=np.array(cfg.beta),
-        )
-
-
-def load_state(path: str) -> KalmanFilter:
-    """Rebuild a filter from a snapshot written by save_state."""
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != _SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        cfg = FdkfConfig(
-            num_bins=int(data["num_bins"]),
-            num_taps=int(data["num_taps"]),
-            A=float(data["A"]),
-            alpha=float(data["alpha"]),
-            p_init=float(data["p_init"]),
-            eps=float(data["eps"]),
-            beta=float(data["beta"]),
-        )
-        filt = KalmanFilter(cfg)
-        filt.W = data["W"].copy()
-        filt.P = data["P"].copy()
-        filt.X_hist = data["X_hist"].copy()
-        filt.clamp_count = int(data["clamp_count"])
-    return filt

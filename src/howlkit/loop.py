@@ -163,16 +163,6 @@ def _howl_scan(samples: np.ndarray, det: HowlDetectorConfig, carry: int):
     return first, int(run[-1])
 
 
-def detect_howl_run(samples, det: HowlDetectorConfig, carry: int = 0):
-    """Whether |samples| stays above the threshold long enough to count as
-    howling, with the open run length carried across chunk boundaries.
-
-    Returns (fired, carry'); feed carry' to the call for the next chunk.
-    """
-    first, carry = _howl_scan(np.asarray(samples, dtype=np.float64), det, carry)
-    return first is not None, carry
-
-
 class DelayLine:
     """Fixed-occupancy FIFO: peek the oldest samples, then push replacements."""
 

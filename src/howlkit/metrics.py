@@ -156,12 +156,13 @@ class EvalReport:
 
 def _eval_one(scene_id, scene, variant_name, factory, det, stft_cfg):
     res = run_scene(scene, factory(scene), det=det)
+    s_hat = res.s_hat_aligned()
     return EvalRow(
         variant=variant_name,
         gain=scene.gain,
         scene_id=scene_id,
-        sdr=sdr(res.s, res.s_hat_aligned()),
-        lsd=lsd(res.s, res.s_hat_aligned(), stft_cfg),
+        sdr=sdr(res.s, s_hat),
+        lsd=lsd(res.s, s_hat, stft_cfg),
         howled=res.howl_event is not None,
     )
 

@@ -51,9 +51,6 @@ class HiddenState:
     h: list
     c: list
 
-    def copy(self):
-        return HiddenState([v.copy() for v in self.h], [v.copy() for v in self.c])
-
 
 class LstmNet:
     """Stacked LSTM with an affine+activation readout.

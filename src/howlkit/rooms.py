@@ -16,8 +16,6 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.signal import lfilter
 
-from .signals import TimeSignal
-
 SPEED_OF_SOUND = 343.0
 
 
@@ -173,19 +171,6 @@ class StreamingConvolver:
         # chunking, which would break bit-exact streaming/batch equality).
         out, self._state = lfilter(self.rir.taps, [1.0, 0.0], chunk, zi=self._state)
         return out
-
-    def reset(self):
-        if self._state is not None:
-            self._state[:] = 0.0
-
-
-def convolve_stream(conv: StreamingConvolver, chunk: TimeSignal) -> TimeSignal:
-    """Next len(chunk) samples of x * h, carrying history across calls."""
-    if chunk.sample_rate != conv.rir.sample_rate:
-        raise ValueError(
-            f"sample rate mismatch: chunk {chunk.sample_rate} Hz vs rir {conv.rir.sample_rate} Hz"
-        )
-    return TimeSignal(conv.process(chunk.samples), chunk.sample_rate)
 
 
 def convolve_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -185,9 +185,6 @@ class StreamingStft:
         self._buf[-self.cfg.hop :] = chunk
         return np.fft.rfft(self._buf * self._win)
 
-    def reset(self):
-        self._buf[:] = 0.0
-
 
 class StreamingIstft:
     """Hop-synchronous synthesis: push one frame, get one finished hop.
@@ -212,6 +209,3 @@ class StreamingIstft:
         self._ola[: -self.cfg.hop] = self._ola[self.cfg.hop :]
         self._ola[-self.cfg.hop :] = 0.0
         return out
-
-    def reset(self):
-        self._ola[:] = 0.0

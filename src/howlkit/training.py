@@ -37,15 +37,6 @@ FEEDBACK_RIR_LEN = 1024
 NEAR_RIR_LEN = 2048
 
 
-def l1_spectral_loss(est_mags, ref_mags) -> float:
-    """Mean absolute difference between two magnitude-spectrogram arrays."""
-    a = np.asarray(est_mags, dtype=np.float64)
-    b = np.asarray(ref_mags, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean(np.abs(a - b)))
-
-
 def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSignal:
     """Speech-shaped synthetic utterance: glottal-style pulse train with a
     piecewise pitch contour in 80-300 Hz, three formant resonators, syllabic

@@ -205,23 +205,47 @@ def test_window_loss_reproducible_and_positive():
     assert losses[0] == losses[1] > 0.0
 
 
-def test_snapshot_restore_resumes_bitwise():
+@pytest.mark.parametrize("variant", ["classical", "everywhere", "predict_only"])
+def test_snapshot_restore_resumes_bitwise(variant):
+    # classical covers the covariance smoother, predict_only the separate
+    # reference history
     scene = LoopScene(speech_like(0.8, 9), scaled_room_rir(), gain=1.5, delay=0.15)
     bins = StftConfig().num_bins
-    ahs = KalmanAhs.for_scene(
-        scene,
-        mask_net=LstmNet(2 * bins, (8,), bins, "sigmoid", seed=3),
-        vv_net=LstmNet(bins, (8,), bins, "softplus", seed=4),
-        dd_net=LstmNet(bins, (8,), bins, "softplus", seed=5),
-    )
+    nets = {}
+    if variant != "classical":
+        nets = {"mask_net": LstmNet(2 * bins, (8,), bins, "sigmoid", seed=3),
+                "vv_net": LstmNet(bins, (8,), bins, "softplus", seed=4),
+                "dd_net": LstmNet(bins, (8,), bins, "softplus", seed=5)}
+    scope = "everywhere" if variant == "classical" else variant
+    ahs = KalmanAhs.for_scene(scene, mask_scope=scope, **nets)
     y = speech_like(0.8, 10).samples
+
+    def resume():
+        return np.concatenate([ahs(y[t: t + 64]) for t in range(30 * 64, 60 * 64, 64)])
+
     for t in range(0, 30 * 64, 64):
         ahs(y[t: t + 64])
     snap = ahs.snapshot()
-    first = np.concatenate([ahs(y[t: t + 64]) for t in range(30 * 64, 60 * 64, 64)])
+    filt = ahs.filt
+    at_snap = (filt.W.copy(), filt.P.copy(), filt.X_hist.copy(), filt.clamp_count)
+    first = resume()
+    ahs.begin_window()
+    resume()
     ahs.restore(snap)
-    second = np.concatenate([ahs(y[t: t + 64]) for t in range(30 * 64, 60 * 64, 64)])
-    np.testing.assert_array_equal(first, second)
+    assert ahs.window_frames == 0
+    for got, want in zip((ahs.filt.W, ahs.filt.P, ahs.filt.X_hist), at_snap):
+        np.testing.assert_array_equal(got, want)
+    assert ahs.filt.clamp_count == at_snap[3]
+    np.testing.assert_array_equal(resume(), first)
+
+    if nets:
+        for name, net in nets.items():
+            assert getattr(ahs, name) is net
+        nets["mask_net"].params["b_out"] += 1.0
+        edited = nets["mask_net"].params["b_out"].copy()
+        ahs.restore(snap)
+        np.testing.assert_array_equal(ahs.mask_net.params["b_out"], edited)
+        assert not np.array_equal(resume(), first)
 
 
 # ------------------------------------------------------- gradient checking

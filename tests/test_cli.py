@@ -97,6 +97,12 @@ def test_config_echo_reingests_to_identical_run(tmp_path, capsys):
     assert read_bytes(out / "scene000_y.wav") == read_bytes(out2 / "scene000_y.wav")
 
 
+def test_simulate_zero_duration_is_config_error(tmp_path, capsys):
+    assert run("simulate", "--duration", 0, "--count", 1,
+               "--out", tmp_path / "o") == EXIT_CONFIG
+    assert "duration" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- suppress
 
 
@@ -193,6 +199,14 @@ def test_train_twice_gives_identical_checkpoints(tmp_path, capsys):
     for rel in ("best/mask.net", "best/vv.net", "best/dd.net",
                 "best/checkpoint.json", "final/mask.net", "train_log.jsonl"):
         assert read_bytes(a / rel) == read_bytes(b / rel), rel
+
+
+def test_train_zero_epochs_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY_TRAIN))
+    assert run("train", "--synthetic", "--config", cfg, "--epochs", 0,
+               "--out", tmp_path / "o") == EXIT_CONFIG
+    assert "epochs" in capsys.readouterr().err
 
 
 def test_train_needs_a_speech_source(tmp_path, capsys):

@@ -10,8 +10,6 @@ from howlkit.fdkf import (
     CovariancePair,
     FdkfConfig,
     KalmanFilter,
-    load_state,
-    save_state,
 )
 from oracles import dense_kalman_run, scalar_kalman_run
 
@@ -220,38 +218,6 @@ def test_covariance_nonnegative_long_realistic_run():
         if k % 500 == 0:
             assert np.all(filt.P >= 0.0)
     assert np.all(filt.P >= 0.0)
-
-
-def test_snapshot_roundtrip_and_resume(tmp_path):
-    cfg = FdkfConfig(num_bins=6, num_taps=2, A=0.98)
-    filt = KalmanFilter(cfg)
-    rng = np.random.default_rng(4)
-    Y = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
-    X = rng.standard_normal((10, 6)) + 1j * rng.standard_normal((10, 6))
-    run_frames(filt, Y, X, const_cov(cfg, 0.1, 0.001))
-
-    path = str(tmp_path / "filter.snap")
-    save_state(filt, path)
-    back = load_state(path)
-    assert back.cfg == cfg
-    assert back.clamp_count == filt.clamp_count
-    np.testing.assert_array_equal(back.W, filt.W)
-    np.testing.assert_array_equal(back.P, filt.P)
-    np.testing.assert_array_equal(back.X_hist, filt.X_hist)
-
-    more_y = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    more_x = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    a = run_frames(filt, more_y, more_x, const_cov(cfg, 0.1, 0.001))
-    b = run_frames(back, more_y, more_x, const_cov(cfg, 0.1, 0.001))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_snapshot_version_check(tmp_path):
-    path = str(tmp_path / "bad.snap")
-    with open(path, "wb") as f:
-        np.savez(f, version=np.array(99))
-    with pytest.raises(ValueError, match="version"):
-        load_state(path)
 
 
 def test_config_validation():

@@ -12,7 +12,7 @@ from howlkit.loop import (
     IdentityAhs,
     LoopScene,
     SceneResult,
-    detect_howl_run,
+    _howl_scan,
     run_scene,
     save_scene_result,
 )
@@ -130,19 +130,20 @@ def test_saturation_bounds_all_loop_signals():
 
 
 def test_detector_quiet_never_fires():
-    fired, carry = detect_howl_run(np.full(1000, 0.5), HowlDetectorConfig())
-    assert not fired and carry == 0
+    first, carry = _howl_scan(np.full(1000, 0.5), HowlDetectorConfig(), 0)
+    assert first is None and carry == 0
 
 
 def test_detector_sustained_run_fires():
-    fired, _ = detect_howl_run(np.full(150, 1.2), HowlDetectorConfig())
-    assert fired
+    # the run first exceeds run_length=100 at its 101st sample
+    first, _ = _howl_scan(np.full(150, 1.2), HowlDetectorConfig(), 0)
+    assert first == 100
 
 
 def test_detector_interrupted_run_resets():
     samples = np.concatenate([np.full(99, 1.2), [0.0], np.full(99, 1.2)])
-    fired, carry = detect_howl_run(samples, HowlDetectorConfig())
-    assert not fired
+    first, carry = _howl_scan(samples, HowlDetectorConfig(), 0)
+    assert first is None
     assert carry == 99
 
 
@@ -150,18 +151,18 @@ def test_detector_carry_spans_chunks():
     det = HowlDetectorConfig()
     chunks = [np.full(50, -1.5)] * 3
     carry = 0
-    fired_seq = []
+    firsts = []
     for c in chunks:
-        fired, carry = detect_howl_run(c, det, carry)
-        fired_seq.append(fired)
-    assert fired_seq == [False, False, True]
+        first, carry = _howl_scan(c, det, carry)
+        firsts.append(first)
+    assert firsts == [None, None, 0]
 
 
 def test_detector_quiet_chunk_closes_an_open_run():
-    fired, carry = detect_howl_run(np.full(64, 0.5), HowlDetectorConfig(), carry=99)
-    assert not fired and carry == 0
-    fired, carry = detect_howl_run(np.full(64, 1.5), HowlDetectorConfig(), carry=99)
-    assert fired and carry == 163
+    first, carry = _howl_scan(np.full(64, 0.5), HowlDetectorConfig(), 99)
+    assert first is None and carry == 0
+    first, carry = _howl_scan(np.full(64, 1.5), HowlDetectorConfig(), 99)
+    assert first == 1 and carry == 163
 
 
 def test_delay_line_matches_modular_index_reference():
@@ -179,8 +180,8 @@ def test_delay_line_matches_modular_index_reference():
 
 
 def test_detector_negative_excursions_count():
-    fired, _ = detect_howl_run(np.full(120, -2.0), HowlDetectorConfig())
-    assert fired
+    first, _ = _howl_scan(np.full(120, -2.0), HowlDetectorConfig(), 0)
+    assert first == 100
 
 
 def test_run_scene_validation_errors():

@@ -11,12 +11,10 @@ from howlkit.rooms import (
     StreamingConvolver,
     convolve_batch,
     convolve_batch_peak,
-    convolve_stream,
     generate_rir,
     load_rir,
     save_rir,
 )
-from howlkit.signals import TimeSignal
 
 ROOM = dict(dimensions=(5.0, 4.0, 3.0), source_pos=(1.0, 1.0, 1.5), mic_pos=(3.5, 2.5, 1.5))
 
@@ -99,7 +97,7 @@ def test_zero_chunks_stay_zero():
     rir = generate_rir(RoomSpec(**ROOM, rt60=0.2, max_rir_len=400))
     conv = StreamingConvolver(rir)
     conv.process(np.random.default_rng(0).standard_normal(300))
-    conv.reset()
+    conv.process(np.zeros(len(rir.taps) - 1))  # flushes the noise out of the state
     for _ in range(5):
         assert np.all(conv.process(np.zeros(64)) == 0.0)
 
@@ -131,12 +129,6 @@ def test_batch_peak_is_bitwise_the_peak_of_the_direct_form():
         want = np.max(np.abs(convolve_batch(x, taps)))
         got = convolve_batch_peak(x, taps)
         assert np.float64(got).tobytes() == want.tobytes()
-
-
-def test_rate_mismatch_rejected():
-    conv = StreamingConvolver(Rir(np.array([1.0, 0.5]), 16000))
-    with pytest.raises(ValueError, match="sample rate"):
-        convolve_stream(conv, TimeSignal(np.zeros(10), 8000))
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,8 +13,7 @@ from howlkit.nets import make_mask_net
 from howlkit.rooms import Rir
 from howlkit.signals import StftConfig, StreamingStft, TimeSignal, stft
 from howlkit.training import (AdamOptimizer, SceneSampler, SgdOptimizer,
-                              TrainConfig, build_ahs, l1_spectral_loss,
-                              load_checkpoint, make_default_nets,
+                              TrainConfig, build_ahs, load_checkpoint, make_default_nets,
                               save_checkpoint, synth_speech, train,
                               train_scene)
 
@@ -49,29 +48,39 @@ def assert_params_equal(nets, snap):
 
 
 # ---------------------------------------------------------------------------
-# l1_spectral_loss
+# the window loss: L1 between output and target magnitude spectra
+
+
+def _recorded_window(ahs, frames, seed):
+    """Record ``frames`` hops of noise; returns the |s_hat| rows on the tape."""
+    rng = np.random.default_rng(seed)
+    ahs.begin_window()
+    for _ in range(frames):
+        ahs.step_open(0.3 * rng.standard_normal(HOP), 0.2 * rng.standard_normal(HOP))
+    return np.abs(np.array([entry["s_hat"] for entry in ahs._tape]))
 
 
 def test_l1_identical_inputs_zero():
-    mags = np.random.default_rng(0).random((7, 9))
-    assert l1_spectral_loss(mags, mags) == 0.0
+    ahs = KalmanAhs(1.0, 2400)
+    mags = _recorded_window(ahs, 7, seed=0)
+    loss, _ = ahs.end_window(mags, want_grads=False)
+    assert loss == 0.0
 
 
 def test_l1_arithmetic_example():
-    assert l1_spectral_loss([[1.0, 2.0]], [[0.0, 0.0]]) == pytest.approx(1.5)
+    # silence in gives |s_hat| = 0, so the loss is the mean target
+    ahs = KalmanAhs(1.0, 2400)
+    ahs.begin_window()
+    for _ in range(2):
+        ahs.step_open(np.zeros(HOP), np.zeros(HOP))
+    bins = StftConfig().num_bins
+    loss, _ = ahs.end_window([[1.0] * bins, [2.0] * bins])
+    assert loss == 1.5
 
-
-def test_l1_symmetry():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a = rng.random((4, 6))
-        b = rng.random((4, 6))
-        assert l1_spectral_loss(a, b) == l1_spectral_loss(b, a)
-
-
-def test_l1_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        l1_spectral_loss(np.zeros((3, 4)), np.zeros((3, 5)))
+    mags = _recorded_window(ahs, 5, seed=1)
+    targets = np.random.default_rng(2).random(mags.shape)
+    loss, _ = ahs.end_window(targets)
+    assert loss == np.mean(np.abs(mags - targets))
 
 
 # ---------------------------------------------------------------------------
