@@ -39,6 +39,11 @@ class KalmanAhs:
     ``mask_scope`` decides where a learned reference acts: "everywhere"
     (default) feeds it to prediction, gain and update alike; "predict_only"
     keeps the raw loudspeaker reference for gain and update.
+
+    A tuple ``gain`` builds a sweep processor: one independent stream per
+    gain, called with (B, hop) chunks and returning (B, hop) chunks, as a
+    gain-sweep LoopScene hands them over.  It runs forward only: it records
+    no training window.
     """
 
     def __init__(self, gain, delay_samples, sat=1.0, stft_cfg=None, fdkf_cfg=None,
@@ -51,8 +56,9 @@ class KalmanAhs:
                 f"filter expects {fdkf_cfg.num_bins} bins but the transform produces "
                 f"{stft_cfg.num_bins}"
             )
-        if gain < 0:
-            raise ValueError("gain must be nonnegative")
+        gains = np.asarray(gain, dtype=np.float64)
+        if gains.ndim > 1 or gains.size == 0 or np.any(gains < 0):
+            raise ValueError("gain must be nonnegative: one value or a nonempty tuple")
         if delay_samples < stft_cfg.hop:
             raise ValueError("loop delay must be at least one hop for the reference mirror")
         if (vv_net is None) != (dd_net is None):
@@ -62,7 +68,9 @@ class KalmanAhs:
 
         self.cfg = stft_cfg
         self.fcfg = fdkf_cfg
-        self.gain = float(gain)
+        self.rows = None if gains.ndim == 0 else len(gains)
+        # (B, 1) in a sweep, so it scales each row's (hop,) chunk
+        self.gain = float(gain) if self.rows is None else gains[:, None]
         self.delay_samples = int(delay_samples)
         self.sat = float(sat)
         self.mask_net = mask_net
@@ -72,22 +80,22 @@ class KalmanAhs:
         self.stop_grad_filter = bool(stop_grad_filter)
         self.latency = stft_cfg.frame_len - stft_cfg.hop
 
-        self.filt = KalmanFilter(fdkf_cfg)
-        self._stft_y = StreamingStft(stft_cfg)
-        self._stft_x = StreamingStft(stft_cfg)
-        self._istft = StreamingIstft(stft_cfg)
-        self._mirror = DelayLine(self.delay_samples)
-        self._x_prev = np.zeros(stft_cfg.num_bins, dtype=np.complex128)
+        rows = self.rows
+        self.filt = KalmanFilter(fdkf_cfg, rows)
+        self._stft_y = StreamingStft(stft_cfg, rows)
+        self._stft_x = StreamingStft(stft_cfg, rows)
+        self._istft = StreamingIstft(stft_cfg, rows)
+        self._mirror = DelayLine(self.delay_samples, rows)
+        self._x_prev = np.zeros(self.filt.X_hist.shape[:-1], dtype=np.complex128)
         # separate reference history only when the learned reference is kept
         # out of the gain/update equations
         self._ref_hist = None
         if mask_scope == "predict_only":
-            self._ref_hist = np.zeros((fdkf_cfg.num_bins, fdkf_cfg.num_taps),
-                                      dtype=np.complex128)
-        self._mask_state = mask_net.init_state() if mask_net is not None else None
-        self._vv_state = vv_net.init_state() if vv_net is not None else None
-        self._dd_state = dd_net.init_state() if dd_net is not None else None
-        self._classical = ClassicalCovariances(fdkf_cfg) if vv_net is None else None
+            self._ref_hist = np.zeros_like(self.filt.X_hist)
+        self._mask_state = mask_net.init_state(rows) if mask_net is not None else None
+        self._vv_state = vv_net.init_state(rows) if vv_net is not None else None
+        self._dd_state = dd_net.init_state(rows) if dd_net is not None else None
+        self._classical = ClassicalCovariances(fdkf_cfg, rows) if vv_net is None else None
         self._tape = None
         self.frames_seen = 0
 
@@ -124,7 +132,7 @@ class KalmanAhs:
             feat = np.concatenate([
                 normalize_log_power(log_power(y_frame)),
                 normalize_log_power(log_power(self._x_prev)),
-            ])
+            ], axis=-1)
             m, self._mask_state, mcache = self.mask_net.step(feat, self._mask_state)
             ref = mask_apply(m, y_frame)
         else:
@@ -141,10 +149,10 @@ class KalmanAhs:
         vcache = dcache = rss = None
         if self.vv_net is not None:
             vv, self._vv_state, vcache = self.vv_net.step(np.abs(s_hat), self._vv_state)
-            rss = np.sqrt(np.sum(W_pre.real**2 + W_pre.imag**2, axis=1))
+            rss = np.sqrt(np.sum(W_pre.real**2 + W_pre.imag**2, axis=-1))
             dd_out, self._dd_state, dcache = self.dd_net.step(rss, self._dd_state)
             taps = self.fcfg.num_taps
-            cov = CovariancePair(vv, np.repeat((dd_out / taps)[:, None], taps, axis=1))
+            cov = CovariancePair(vv, np.repeat((dd_out / taps)[..., None], taps, axis=-1))
         else:
             cov = self._classical(s_hat, filt)
 
@@ -168,6 +176,8 @@ class KalmanAhs:
     # ------------------------------------------------------------- training
 
     def begin_window(self):
+        if self.rows is not None:
+            raise ValueError("a gain-sweep processor records no training window")
         if self._tape is not None:
             raise RuntimeError("a window is already recording")
         self._tape = []

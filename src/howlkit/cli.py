@@ -101,6 +101,11 @@ def _build_suppressor_factory(cfg: RunConfig, variant: str, nets=None,
                                              fdkf_cfg=fdkf_cfg, **kwargs)
 
 
+def _check_count(value: int, flag: str):
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def _check_finite(samples, what: str):
     if not np.all(np.isfinite(samples)):
         raise ArithmeticError(f"{what} diverged: non-finite samples in the output")
@@ -111,6 +116,7 @@ def _check_finite(samples, what: str):
 
 
 def cmd_simulate(args) -> None:
+    _check_count(args.count, "--count")
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
     _write_config_echo(cfg, out)
@@ -237,6 +243,7 @@ def _suppress_scene(args, cfg: RunConfig, out: str, factory) -> None:
 
 
 def cmd_rir(args) -> None:
+    _check_count(args.count, "--count")
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
     _write_config_echo(cfg, out)
@@ -318,6 +325,7 @@ def cmd_train(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    _check_count(args.scenes, "--scenes")
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
     _write_config_echo(cfg, out)

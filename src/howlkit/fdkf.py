@@ -10,9 +10,14 @@ value per bin and tap), and X_hist holds the last L reference frames, newest
 first.  Observation and process covariances (psi_vv, psi_dd) are supplied
 fresh every frame — from the closed-form source below, or from learned
 estimators.
+
+A filter built with ``rows`` tracks that many independent streams at once:
+every array above gains a leading row axis and every reduction runs over
+the last axis, so each row is bitwise the filter it would be alone.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -73,8 +78,8 @@ def shift_in(hist, frame):
     previous history by reference.
     """
     out = np.empty_like(hist)
-    out[:, 1:] = hist[:, :-1]
-    out[:, 0] = frame
+    out[..., 1:] = hist[..., :-1]
+    out[..., 0] = frame
     return out
 
 
@@ -85,17 +90,18 @@ class KalmanFilter:
     update(K, S_hat, cov).
     """
 
-    def __init__(self, cfg: FdkfConfig):
+    def __init__(self, cfg: FdkfConfig, rows: Optional[int] = None):
         self.cfg = cfg
-        self.W = np.zeros((cfg.num_bins, cfg.num_taps), dtype=np.complex128)
-        self.P = np.full((cfg.num_bins, cfg.num_taps), cfg.p_init, dtype=np.float64)
-        self.X_hist = np.zeros((cfg.num_bins, cfg.num_taps), dtype=np.complex128)
-        self.clamp_count = 0  # covariance floor hits, for diagnostics
+        shape = (() if rows is None else (rows,)) + (cfg.num_bins, cfg.num_taps)
+        self.W = np.zeros(shape, dtype=np.complex128)
+        self.P = np.full(shape, cfg.p_init, dtype=np.float64)
+        self.X_hist = np.zeros(shape, dtype=np.complex128)
+        self.clamp_count = 0  # covariance floor hits over all rows, for diagnostics
 
     def _check_frame(self, frame, name):
         frame = np.asarray(frame)
-        if frame.shape != (self.cfg.num_bins,):
-            raise ValueError(f"{name} must have shape ({self.cfg.num_bins},), got {frame.shape}")
+        if frame.shape != self.X_hist.shape[:-1]:
+            raise ValueError(f"{name} must have shape {self.X_hist.shape[:-1]}, got {frame.shape}")
         return frame
 
     def push_reference(self, x_new):
@@ -109,19 +115,19 @@ class KalmanFilter:
         """
         y = self._check_frame(y, "microphone frame")
         hist = self.X_hist if hist is None else hist
-        return y - np.sum(hist * self.W, axis=1)
+        return y - np.sum(hist * self.W, axis=-1)
 
     def gain(self, cov: CovariancePair) -> np.ndarray:
         """Kalman gain per bin and tap."""
         x = self.X_hist
         x_pow = x.real**2 + x.imag**2
-        denom = np.sum(x_pow * self.P, axis=1) + cov.psi_vv + self.cfg.eps
-        return (self.P * np.conj(x)) / denom[:, None]
+        denom = np.sum(x_pow * self.P, axis=-1) + cov.psi_vv + self.cfg.eps
+        return (self.P * np.conj(x)) / denom[..., None]
 
     def update(self, K, s_hat, cov: CovariancePair):
         """Advance W and P one frame; P is floored at zero (counted)."""
         A = self.cfg.A
-        self.W = A * (self.W + K * s_hat[:, None])
+        self.W = A * (self.W + K * s_hat[..., None])
         decay = 1.0 - self.cfg.alpha * (K * self.X_hist).real
         P = (A * A) * decay * self.P + cov.psi_dd
         neg = P < 0
@@ -136,12 +142,13 @@ class ClassicalCovariances:
 
     psi_vv is an exponentially smoothed near-end power estimate and psi_dd
     ties process noise to the tap magnitudes, so the covariances need no
-    learned model.  Stateful: one instance per stream.
+    learned model.  Stateful: one instance per stream, or per ``rows``
+    streams of a batched filter.
     """
 
-    def __init__(self, cfg: FdkfConfig):
+    def __init__(self, cfg: FdkfConfig, rows: Optional[int] = None):
         self.cfg = cfg
-        self.smoothed_vv = np.zeros(cfg.num_bins)
+        self.smoothed_vv = np.zeros(cfg.num_bins if rows is None else (rows, cfg.num_bins))
 
     def __call__(self, s_hat, filt: KalmanFilter) -> CovariancePair:
         b = self.cfg.beta

@@ -45,11 +45,15 @@ class LoopScene:
     loudspeaker hard-clips at ``sat``.  When ``near_rir`` is given the dry
     source is reverberated through it to form the target signal s(t).
     ``seed`` is provenance metadata only; the loop itself draws no randomness.
+
+    A tuple ``gain`` makes the scene a gain sweep: one run per gain, all
+    advanced in lockstep, with every per-hop array carrying a leading row
+    axis (row i runs at ``gain[i]``).  A scalar gain keeps 1-D streams.
     """
 
     near_end: TimeSignal
     feedback_rir: Rir
-    gain: float
+    gain: float  # or a tuple of gains, for a sweep
     delay: float
     near_rir: Optional[Rir] = None
     sat: float = 1.0
@@ -60,7 +64,11 @@ class LoopScene:
                                            kw_only=True)
 
     def __post_init__(self):
-        if self.gain < 0:
+        if isinstance(self.gain, tuple):
+            if not self.gain:
+                raise ValueError("a gain sweep needs at least one gain")
+            object.__setattr__(self, "gain", tuple(float(g) for g in self.gain))
+        if np.any(np.asarray(self.gain) < 0):
             raise ValueError("gain must be nonnegative")
         if self.sat <= 0:
             raise ValueError("sat must be positive")
@@ -73,6 +81,11 @@ class LoopScene:
         slot = self._target_slot
         if slot is None or slot[0] is not self.near_end or slot[1] is not self.near_rir:
             object.__setattr__(self, "_target_slot", [self.near_end, self.near_rir, None])
+
+    @property
+    def rows(self) -> Optional[int]:
+        """Number of runs in a gain sweep; None for a scalar gain."""
+        return len(self.gain) if isinstance(self.gain, tuple) else None
 
     @property
     def sample_rate(self) -> int:
@@ -134,7 +147,8 @@ class SceneResult:
 
 
 class IdentityAhs:
-    """Pass-through suppressor: returns the microphone frame unchanged."""
+    """Pass-through suppressor: returns the microphone frame (or, in a gain
+    sweep, one frame per row) unchanged."""
 
     latency = 0
 
@@ -142,50 +156,64 @@ class IdentityAhs:
         return np.array(frame, dtype=np.float64)
 
 
-def _howl_scan(samples: np.ndarray, det: HowlDetectorConfig, carry: int):
+def _howl_scan(samples: np.ndarray, det: HowlDetectorConfig, carry):
     """Scan one chunk for a qualifying loud run.
 
     Returns (index of the first sample whose consecutive-loud run exceeds
-    det.run_length, or None; run length still open at the chunk end).
+    det.run_length, or None; run length still open at the chunk end).  A
+    (B, n) chunk is scanned row by row with one carry per row; its first
+    indices come as a (B,) array with -1 for rows without a hit, or None
+    when no row has one.
     """
-    n = len(samples)
+    n = samples.shape[-1]
     if n == 0:
         return None, carry
     loud = np.abs(samples) > det.amp_threshold
     if not loud.any():
         return None, 0
     idx = np.arange(n)
-    last_quiet = np.maximum.accumulate(np.where(~loud, idx, -1))
-    run = np.where(last_quiet < 0, idx + 1 + carry, idx - last_quiet)
-    run = np.where(loud, run, 0)
-    hits = np.nonzero(run > det.run_length)[0]
-    first = int(hits[0]) if hits.size else None
-    return first, int(run[-1])
+    # each quiet sample marks its own index, and the run still open from the
+    # last chunk started carry samples before index 0
+    marks = np.where(loud, -1 - np.asarray(carry)[..., None], idx)
+    run = idx - np.maximum.accumulate(marks, axis=-1)
+    hit = run > det.run_length
+    if samples.ndim == 1:
+        hits = np.flatnonzero(hit)
+        return (int(hits[0]) if hits.size else None), int(run[-1])
+    if not hit.any():
+        return None, run[:, -1]
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1), run[:, -1]
 
 
 class DelayLine:
-    """Fixed-occupancy FIFO: peek the oldest samples, then push replacements."""
+    """Fixed-occupancy FIFO: peek the oldest samples, then push replacements.
 
-    def __init__(self, length: int):
-        self._buf = np.zeros(length)
+    With ``rows`` it holds that many independent lines, advanced together
+    with (rows, count) chunks.
+    """
+
+    def __init__(self, length: int, rows: Optional[int] = None):
+        self._buf = np.zeros(length if rows is None else (rows, length))
         self._pos = 0
 
     def peek(self, count: int) -> np.ndarray:
         buf, pos = self._buf, self._pos
-        if count > len(buf):
+        size = buf.shape[-1]
+        if count > size:
             raise ValueError("cannot peek past the line length")
-        wrap = pos + count - len(buf)
+        wrap = pos + count - size
         if wrap <= 0:
-            return buf[pos:pos + count].copy()
-        return np.concatenate((buf[pos:], buf[:wrap]))
+            return buf[..., pos:pos + count].copy()
+        return np.concatenate((buf[..., pos:], buf[..., :wrap]), axis=-1)
 
     def push(self, chunk: np.ndarray):
         buf, pos = self._buf, self._pos
-        head = min(len(chunk), len(buf) - pos)
-        buf[pos:pos + head] = chunk[:head]
-        if head < len(chunk):
-            buf[:len(chunk) - head] = chunk[head:]
-        self._pos = (pos + len(chunk)) % len(buf)
+        size, count = buf.shape[-1], chunk.shape[-1]
+        head = min(count, size - pos)
+        buf[..., pos:pos + head] = chunk[..., :head]
+        if head < count:
+            buf[..., :count - head] = chunk[..., head:]
+        self._pos = (pos + count) % size
 
 
 class ClosedLoop:
@@ -198,6 +226,11 @@ class ClosedLoop:
     (0 when absent).  ``frame_size`` may not exceed the scene delay — each
     frame is handed over before its own output can reach the microphone.
     Trailing samples that do not fill a whole frame are dropped.
+
+    On a gain-sweep scene every stream but ``s`` is (B, n), ``howl_event``
+    is a list with one entry per row, and ``ahs`` maps (B, frame_size)
+    frames to (B, frame_size) frames.  Each row is bitwise the run a scalar
+    scene at its gain gives.
     """
 
     def __init__(self, scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
@@ -213,18 +246,22 @@ class ClosedLoop:
             raise ValueError(f"frame_size must be in [1, {dly}] for this scene")
         n -= n % frame_size
 
+        rows = scene.rows
+        lead = () if rows is None else (rows,)
         self.scene = scene
         self.ahs = ahs
         self.det = det
         self.frame_size = frame_size
         self.s = target[:n]
-        self.y = np.zeros(n)
-        self.s_hat = np.zeros(n)
-        self.x = np.zeros(n)
-        self.d = np.zeros(n)
-        self.howl_event: Optional[int] = None
-        self._line = DelayLine(dly)
-        self._conv = StreamingConvolver(scene.feedback_rir)
+        self.y = np.zeros(lead + (n,))
+        self.s_hat = np.zeros(lead + (n,))
+        self.x = np.zeros(lead + (n,))
+        self.d = np.zeros(lead + (n,))
+        self.howl_event = None if rows is None else [None] * rows
+        self._gain = scene.gain if rows is None else np.array(scene.gain)[:, None]
+        self._frame_shape = lead + (frame_size,)
+        self._line = DelayLine(dly, rows)
+        self._conv = StreamingConvolver(scene.feedback_rir, rows)
         self._carry = 0
         self._t = 0
 
@@ -237,46 +274,65 @@ class ClosedLoop:
         return self._t // self.frame_size
 
     def step_frame(self) -> bool:
-        """Advance one frame; returns True if howling fired within it."""
+        """Advance one frame; returns True if howling fired within it (in
+        any row of a sweep)."""
         if self.frames_done >= self.total_frames:
             raise RuntimeError("scene already fully processed")
         t = self._t
         sl = slice(t, t + self.frame_size)
-        self.d[sl] = self._conv.process(self._line.peek(self.frame_size))
-        self.y[sl] = self.s[sl] + self.d[sl]
-        out = np.asarray(self.ahs(self.y[sl]), dtype=np.float64)
-        if out.shape != (self.frame_size,):
+        self.d[..., sl] = self._conv.process(self._line.peek(self.frame_size))
+        self.y[..., sl] = self.s[sl] + self.d[..., sl]
+        out = np.asarray(self.ahs(self.y[..., sl]), dtype=np.float64)
+        if out.shape != self._frame_shape:
             raise ValueError("suppressor returned a frame of the wrong length")
-        self.s_hat[sl] = out
-        self.x[sl] = np.clip(self.scene.gain * out, -self.scene.sat, self.scene.sat)
-        self._line.push(self.x[sl])
+        self.s_hat[..., sl] = out
+        self.x[..., sl] = np.clip(self._gain * out, -self.scene.sat, self.scene.sat)
+        self._line.push(self.x[..., sl])
         hit, self._carry = _howl_scan(out, self.det, self._carry)
-        if hit is not None and self.howl_event is None:
-            self.howl_event = t + hit
+        if hit is not None:
+            if self.scene.rows is None:
+                if self.howl_event is None:
+                    self.howl_event = t + hit
+            else:
+                for row in np.flatnonzero(hit >= 0):
+                    if self.howl_event[row] is None:
+                        self.howl_event[row] = t + int(hit[row])
         self._t = t + self.frame_size
         return hit is not None
 
-    def result(self) -> SceneResult:
-        """Streams processed so far, packaged (partial runs are truncated)."""
+    def result(self):
+        """Streams processed so far, packaged (partial runs are truncated).
+
+        A gain sweep gives a tuple with one SceneResult per gain, in order.
+        """
+        if self.scene.rows is None:
+            return self._result(self.y, self.s_hat, self.x, self.d, self.howl_event,
+                                self.scene.gain)
+        return tuple(self._result(self.y[i], self.s_hat[i], self.x[i], self.d[i],
+                                  self.howl_event[i], gain)
+                     for i, gain in enumerate(self.scene.gain))
+
+    def _result(self, y, s_hat, x, d, howl_event, gain) -> SceneResult:
         n = self._t
         return SceneResult(
-            s=self.s[:n], y=self.y[:n], s_hat=self.s_hat[:n], x=self.x[:n], d=self.d[:n],
-            howl_event=self.howl_event,
+            s=self.s[:n], y=y[:n], s_hat=s_hat[:n], x=x[:n], d=d[:n],
+            howl_event=howl_event,
             ahs_latency=int(getattr(self.ahs, "latency", 0)),
             sample_rate=self.scene.sample_rate,
-            gain=self.scene.gain,
+            gain=gain,
             delay_samples=self.scene.delay_samples,
             seed=self.scene.seed,
         )
 
 
 def run_scene(scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
-              duration: Optional[float] = None, frame_size: int = 64) -> SceneResult:
+              duration: Optional[float] = None, frame_size: int = 64):
     """Run a suppressor through a whole scene inside the closed loop.
 
     Divergence never raises: the loudspeaker clip bounds every stream, and a
     sustained loud suppressor output is reported through the result's
-    ``howl_event`` (the run always completes full length).
+    ``howl_event`` (the run always completes full length).  Returns a
+    SceneResult, or for a gain sweep a tuple of them, one per gain.
     """
     engine = ClosedLoop(scene, ahs, det=det, duration=duration, frame_size=frame_size)
     for _ in range(engine.total_frames):

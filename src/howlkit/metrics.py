@@ -58,9 +58,15 @@ def lsd(reference, estimate, cfg: StftConfig = None) -> float:
     s_hat = _as_samples(estimate)
     if s.shape != s_hat.shape:
         raise ValueError(f"length mismatch: {s.shape} vs {s_hat.shape}")
-    delta = 1e-8
-    ref_db = 20.0 * np.log10(np.abs(stft(TimeSignal(s, cfg.sample_rate), cfg)) + delta)
-    est_db = 20.0 * np.log10(np.abs(stft(TimeSignal(s_hat, cfg.sample_rate), cfg)) + delta)
+    return _spectral_distance(_log_spectrum(s, cfg), _log_spectrum(s_hat, cfg))
+
+
+def _log_spectrum(samples, cfg: StftConfig) -> np.ndarray:
+    """20*log10(|STFT| + 1e-8) frames of one signal, as lsd compares them."""
+    return 20.0 * np.log10(np.abs(stft(TimeSignal(samples, cfg.sample_rate), cfg)) + 1e-8)
+
+
+def _spectral_distance(ref_db, est_db) -> float:
     return float(np.mean(np.sqrt(np.mean((ref_db - est_db) ** 2, axis=1))))
 
 
@@ -154,17 +160,26 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _eval_one(scene_id, scene, variant_name, factory, det, stft_cfg):
-    res = run_scene(scene, factory(scene), det=det)
-    s_hat = res.s_hat_aligned()
-    return EvalRow(
-        variant=variant_name,
-        gain=scene.gain,
-        scene_id=scene_id,
-        sdr=sdr(res.s, s_hat),
-        lsd=lsd(res.s, s_hat, stft_cfg),
-        howled=res.howl_event is not None,
-    )
+def _sweep_rows(sweep, variant_name, factory, scene_id, ref, det, stft_cfg):
+    """One EvalRow per gain of one sweep run, in gain order.
+
+    The run's streams die with this call, so one sweep is alive at a time.
+    ``ref`` caches the scene's target log spectrum across its runs.
+    """
+    rows = []
+    for res in run_scene(sweep, factory(sweep), det=det):
+        if "db" not in ref:
+            ref["db"] = _log_spectrum(res.s, stft_cfg)
+        s_hat = res.s_hat_aligned()
+        rows.append(EvalRow(
+            variant=variant_name,
+            gain=res.gain,
+            scene_id=scene_id,
+            sdr=sdr(res.s, s_hat),
+            lsd=_spectral_distance(ref["db"], _log_spectrum(s_hat, stft_cfg)),
+            howled=res.howl_event is not None,
+        ))
+    return rows
 
 
 def evaluate(scenes, variants, gains=(1.5, 2.0, 2.5, 3.0), det: HowlDetectorConfig = None,
@@ -173,17 +188,28 @@ def evaluate(scenes, variants, gains=(1.5, 2.0, 2.5, 3.0), det: HowlDetectorConf
 
     ``variants`` maps name -> factory(scene) -> suppressor callback; a fresh
     suppressor is built per run so filter state never leaks between scenes.
-    ``scenes`` are templates whose gain field is overridden by each sweep
-    point; the swept copies share each template's target, so it is
-    reverberated once per scene.  Rows come in a fixed order: variant name,
+    ``scenes`` are templates whose gain field is overridden by the sweep:
+    each factory is called once per (variant, scene) with a gain-sweep copy
+    (``gain`` is the tuple of all gains) and must return a suppressor that
+    maps (B, hop) frames to (B, hop) frames; all gains then run in lockstep.
+    Each row equals the scalar-gain run's (bitwise for IdentityAhs and the
+    classical KalmanAhs; attached nets agree to rounding).  The copies share
+    each template's target, so it is reverberated once per scene, and its
+    log spectrum is taken once.  Rows come in a fixed order: variant name,
     then gain, then scene.
     """
     if stft_cfg is None:
         stft_cfg = StftConfig()
-    rows = []
-    for name in sorted(variants):
-        for gain in gains:
-            for sid, scene in enumerate(scenes):
-                swept = replace(scene, gain=float(gain)) if scene.gain != gain else scene
-                rows.append(_eval_one(sid, swept, name, variants[name], det, stft_cfg))
+    gains = tuple(float(g) for g in gains)
+    names = sorted(variants)
+    table = {}
+    for sid, scene in enumerate(scenes):
+        sweep = replace(scene, gain=gains)
+        ref = {}
+        for name in names:
+            swept = _sweep_rows(sweep, name, variants[name], sid, ref, det, stft_cfg)
+            for gi, row in enumerate(swept):
+                table[name, gi, sid] = row
+    rows = [table[name, gi, sid] for name in names for gi in range(len(gains))
+            for sid in range(len(scenes))]
     return EvalReport(rows=tuple(rows))

@@ -88,29 +88,40 @@ class LstmNet:
 
     # ---------------------------------------------------------------- forward
 
-    def init_state(self) -> HiddenState:
+    def init_state(self, rows=None) -> HiddenState:
+        """Zero state for one stream, or (rows, H) state for ``rows`` streams."""
+        lead = () if rows is None else (rows,)
         return HiddenState(
-            [np.zeros(H) for H in self.hidden_sizes],
-            [np.zeros(H) for H in self.hidden_sizes],
+            [np.zeros(lead + (H,)) for H in self.hidden_sizes],
+            [np.zeros(lead + (H,)) for H in self.hidden_sizes],
         )
 
     def zero_grads(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def step(self, x, state: HiddenState):
-        """One frame forward.  Returns (output, new_state, cache)."""
+        """One frame forward.  Returns (output, new_state, cache).
+
+        ``x`` is one (input_size,) frame, or a (rows, input_size) stack of
+        frames for a state from ``init_state(rows)``; each row then agrees
+        with its solo step to rounding (a matrix product may sum in another
+        order than a matrix-vector one).
+        """
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.input_size,):
-            raise ValueError(f"input must have shape ({self.input_size},), got {x.shape}")
+        if x.ndim > 2 or x.shape[-1:] != (self.input_size,):
+            raise ValueError(f"input must have shape ({self.input_size},) or "
+                             f"(rows, {self.input_size}), got {x.shape}")
         inp = x
         new_h, new_c, layer_caches = [], [], []
         for l, H in enumerate(self.hidden_sizes):
-            z = self.params[f"wx{l}"] @ inp + self.params[f"wh{l}"] @ state.h[l] + self.params[f"b{l}"]
+            # (W @ v.T).T is W @ v for one frame and a row per frame otherwise
+            z = ((self.params[f"wx{l}"] @ inp.T).T + (self.params[f"wh{l}"] @ state.h[l].T).T
+                 + self.params[f"b{l}"])
             gates = _sigmoid(z)  # one pass for i, f and o; its cell slice is unused
-            i = gates[:H]
-            f = gates[H : 2 * H]
-            g = np.tanh(z[2 * H : 3 * H])
-            o = gates[3 * H :]
+            i = gates[..., :H]
+            f = gates[..., H : 2 * H]
+            g = np.tanh(z[..., 2 * H : 3 * H])
+            o = gates[..., 3 * H :]
             c = f * state.c[l] + i * g
             tc = np.tanh(c)
             h = o * tc
@@ -118,7 +129,7 @@ class LstmNet:
             new_h.append(h)
             new_c.append(c)
             inp = h
-        v = self.params["w_out"] @ inp + self.params["b_out"]
+        v = (self.params["w_out"] @ inp.T).T + self.params["b_out"]
         if self.output_activation == "sigmoid":
             out = _sigmoid(v)
         elif self.output_activation == "softplus":

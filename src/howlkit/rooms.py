@@ -11,6 +11,7 @@ can actually drive the simulated loop unstable.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -154,11 +155,14 @@ class StreamingConvolver:
     Output is computed with scipy's direct-form transposed filter and the
     filter state carried across calls, so any chunking of the input yields
     bit-identical output to one batch call on the concatenated signal.
+    With ``rows`` it filters that many independent streams, given as
+    (rows, n) chunks, in one call; each row is bitwise its solo stream.
     """
 
-    def __init__(self, rir: Rir):
+    def __init__(self, rir: Rir, rows: Optional[int] = None):
         self.rir = rir
-        self._state = np.zeros(len(rir.taps) - 1) if len(rir.taps) > 1 else None
+        m = len(rir.taps) - 1
+        self._state = np.zeros(m if rows is None else (rows, m)) if m else None
 
     def process(self, chunk: np.ndarray) -> np.ndarray:
         chunk = np.asarray(chunk, dtype=np.float64)

@@ -10,6 +10,7 @@ so interior samples reconstruct exactly.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -170,19 +171,22 @@ class StreamingStft:
 
     Frame m produced after pushing hop chunk m covers samples
     [(m-1)*hop, (m+1)*hop) with zero history before the stream start, i.e.
-    streaming frame m equals batch stft frame m-1 for m >= 1.
+    streaming frame m equals batch stft frame m-1 for m >= 1.  With ``rows``
+    it analyses that many streams at once: (rows, hop) chunks in,
+    (rows, num_bins) frames out.
     """
 
-    def __init__(self, cfg: StftConfig):
+    def __init__(self, cfg: StftConfig, rows: Optional[int] = None):
         self.cfg = cfg
-        self._buf = np.zeros(cfg.frame_len)
+        self._buf = np.zeros(cfg.frame_len if rows is None else (rows, cfg.frame_len))
         self._win = cfg.analysis_window
 
     def push(self, chunk: np.ndarray) -> np.ndarray:
-        if len(chunk) != self.cfg.hop:
-            raise ValueError(f"chunk must be one hop ({self.cfg.hop}), got {len(chunk)}")
-        self._buf[: -self.cfg.hop] = self._buf[self.cfg.hop :]
-        self._buf[-self.cfg.hop :] = chunk
+        hop = self.cfg.hop
+        if chunk.shape[-1] != hop:
+            raise ValueError(f"chunk must be one hop ({hop}), got {chunk.shape[-1]}")
+        self._buf[..., :-hop] = self._buf[..., hop:]
+        self._buf[..., -hop:] = chunk
         return np.fft.rfft(self._buf * self._win)
 
 
@@ -192,20 +196,23 @@ class StreamingIstft:
     The emitted hop for frame m is the fully overlap-added region
     [(m-1)*hop, m*hop), so the round trip through StreamingStft and
     StreamingIstft delays the stream by exactly frame_len - hop samples.
+    With ``rows`` it synthesises that many streams from (rows, num_bins)
+    frames.
     """
 
-    def __init__(self, cfg: StftConfig):
+    def __init__(self, cfg: StftConfig, rows: Optional[int] = None):
         if cfg.frame_len != 2 * cfg.hop:
             raise ConfigError("streaming synthesis requires 50% overlap")
         self.cfg = cfg
-        self._ola = np.zeros(cfg.frame_len)
+        self._ola = np.zeros(cfg.frame_len if rows is None else (rows, cfg.frame_len))
         self._win = cfg.synthesis_window
         self._gain = cfg.cola_gain
 
     def push(self, frame: np.ndarray) -> np.ndarray:
+        hop = self.cfg.hop
         seg = np.fft.irfft(frame, n=self.cfg.fft_size) * self._win
         self._ola += seg
-        out = self._ola[: self.cfg.hop] / self._gain
-        self._ola[: -self.cfg.hop] = self._ola[self.cfg.hop :]
-        self._ola[-self.cfg.hop :] = 0.0
+        out = self._ola[..., :hop] / self._gain
+        self._ola[..., :-hop] = self._ola[..., hop:]
+        self._ola[..., -hop:] = 0.0
         return out

@@ -3,7 +3,8 @@
 Each test prints ``ACCEPTANCE n: PASS/FAIL — detail`` (visible with -s, or in
 the captured output of a failure) and asserts both the numeric criterion and
 its runtime budget.  Criteria 8 and 9 share one desk-scale training run via a
-module fixture, so this file takes about twenty minutes end to end.
+module fixture, so this file takes about twenty minutes end to end; both are
+marked ``slow``, and ``pytest -m "not slow"`` leaves them (and the fixture) out.
 """
 
 import dataclasses
@@ -226,6 +227,7 @@ def test_criterion_07_classical_fdkf_suppresses(scenes20):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_08_training_abort_guard(desk_training, monkeypatch):
     t0 = time.monotonic()
     nets_trained, events, train_elapsed = desk_training
@@ -283,6 +285,7 @@ def test_criterion_08_training_abort_guard(desk_training, monkeypatch):
     assert train_elapsed < 1800.0
 
 
+@pytest.mark.slow
 def test_criterion_09_neural_beats_classical(desk_training, scenes20):
     t0 = time.monotonic()
     nets, _, train_elapsed = desk_training

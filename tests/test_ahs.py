@@ -1,6 +1,8 @@
 """Suppressor wiring tests: pass-through exactness, the loudspeaker mirror,
 ablation plumbing, and finite-difference checks of whole-window gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -8,7 +10,7 @@ from scipy.signal import lfilter
 from howlkit.ahs import KalmanAhs, MASK_SCOPES
 from howlkit.fdkf import FdkfConfig
 from howlkit.loop import LoopScene, run_scene
-from howlkit.nets import LstmNet
+from howlkit.nets import LstmNet, make_cov_dd_net, make_cov_vv_net, make_mask_net
 from howlkit.rooms import Rir, RoomSpec, generate_rir
 from howlkit.signals import StftConfig, TimeSignal
 
@@ -339,3 +341,61 @@ def test_stop_grad_filter_blocks_recursion_paths():
     assert any(
         not np.array_equal(stopped["mask"][k], full["mask"][k]) for k in full["mask"]
     )
+
+
+# ------------------------------------------------------------- gain sweeps
+# A tuple-gain scene runs every gain in lockstep through one processor; each
+# row must be the processor a scalar-gain scene would build.
+
+SLOW_FILTER = FdkfConfig(p_init=1e-3)  # adapts slowly enough to howl at high gain
+
+
+def sweep_and_solo(sweep, det=None, **kwargs):
+    rows = run_scene(sweep, KalmanAhs.for_scene(sweep, **kwargs), det=det)
+    solos = []
+    for gain in sweep.gain:
+        scene = replace(sweep, gain=gain)
+        solos.append(run_scene(scene, KalmanAhs.for_scene(scene, **kwargs), det=det))
+    return rows, solos
+
+
+def test_classical_sweep_rows_equal_solo_runs_bitwise():
+    sweep = LoopScene(speech_like(0.6, 3), scaled_room_rir(), gain=(0.0, 0.5, 1.0, 3.0, 8.0),
+                      delay=0.02)
+    rows, solos = sweep_and_solo(sweep, fdkf_cfg=SLOW_FILTER)
+    onsets = [row.howl_event for row in rows]
+    assert onsets[:2] == [None, None]
+    assert None not in onsets[2:] and len(set(onsets[2:])) == 3
+    for row, solo in zip(rows, solos):
+        assert row.howl_event == solo.howl_event
+        for name in ("s", "y", "s_hat", "x", "d"):
+            assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+def test_neural_sweep_rows_agree_with_solo_runs():
+    # the nets' matrix products may sum in another order than the solo
+    # matrix-vector ones, so rows agree to rounding, not bit for bit; the
+    # loop must stay bounded, since a diverging one amplifies any rounding
+    bins = StftConfig().num_bins
+    nets = {"mask_net": make_mask_net(bins, hidden=(8,), seed=1),
+            "vv_net": make_cov_vv_net(bins, seed=2), "dd_net": make_cov_dd_net(bins, seed=3)}
+    sweep = LoopScene(speech_like(0.5, 4), scaled_room_rir(), gain=(0.0, 1.5, 4.0),
+                      delay=0.02)
+    rows, solos = sweep_and_solo(sweep, **nets)
+    for row, solo in zip(rows, solos):
+        assert row.howl_event == solo.howl_event
+        for name in ("y", "s_hat", "x", "d"):
+            np.testing.assert_allclose(getattr(row, name), getattr(solo, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_sweep_processor_validation():
+    with pytest.raises(ValueError, match="gain"):
+        KalmanAhs((), 2400)
+    with pytest.raises(ValueError, match="gain"):
+        KalmanAhs((1.0, -1.0), 2400)
+    ahs = KalmanAhs((0.0, 2.0), 2400)
+    assert ahs.rows == 2 and ahs.gain.shape == (2, 1)
+    with pytest.raises(ValueError, match="training window"):
+        ahs.begin_window()
+    np.testing.assert_array_equal(ahs(np.zeros((2, 64))), np.zeros((2, 64)))

@@ -103,6 +103,13 @@ def test_simulate_zero_duration_is_config_error(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+def test_simulate_nonpositive_count_is_config_error(tmp_path, capsys):
+    for count in (0, -1):
+        assert run("simulate", "--count", count, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- suppress
 
 
@@ -173,6 +180,13 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------- rir
 
 
+def test_rir_nonpositive_count_is_config_error(tmp_path, capsys):
+    for count in (0, -2):
+        assert run("rir", "--count", count, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert "--count" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_rir_batch_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -240,6 +254,13 @@ def test_empty_corpus_is_io_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- eval
+
+
+def test_eval_nonpositive_scenes_is_config_error(tmp_path, capsys):
+    for count in (0, -3):
+        assert run("eval", "--scenes", count, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert "--scenes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_eval_has_four_gain_rows_per_variant_by_default(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from howlkit.loop import (
+    ClosedLoop,
     DelayLine,
     HowlDetectorConfig,
     IdentityAhs,
@@ -279,3 +280,92 @@ def test_save_scene_result_roundtrip(tmp_path):
     back = read_wav(str(tmp_path / manifest["files"]["y"]))
     assert back.sample_rate == FS
     np.testing.assert_allclose(back.samples, res.y, atol=1e-6)
+
+
+# ------------------------------------------------------------- gain sweeps
+
+
+def assert_rows_are_solo_runs(sweep, make_ahs=lambda scene: IdentityAhs(), det=None):
+    """Each row of a lockstep sweep is bit for bit its own scalar-gain run."""
+    rows = run_scene(sweep, make_ahs(sweep), det=det)
+    assert len(rows) == len(sweep.gain)
+    for row, gain in zip(rows, sweep.gain):
+        solo_scene = replace(sweep, gain=gain)
+        solo = run_scene(solo_scene, make_ahs(solo_scene), det=det)
+        assert row.gain == gain
+        assert row.howl_event == solo.howl_event
+        for name in ("s", "y", "s_hat", "x", "d"):
+            assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), name
+    return rows
+
+
+def coupled_rir(coupling=3.0):
+    taps = generate_rir(ROOM).taps
+    return Rir(taps * (coupling / np.sum(taps)), FS)
+
+
+def test_sweep_rows_equal_solo_runs_bitwise():
+    sweep = LoopScene(noise_signal(0.6, 3, peak=0.3), coupled_rir(),
+                      gain=(0.0, 0.2, 1.0, 2.0, 3.0), delay=0.02)
+    rows = run_scene(sweep, IdentityAhs())
+    onsets = [row.howl_event for row in rows]
+    # rows that never howl and rows that howl at distinct onsets
+    assert onsets[0] is None and onsets[1] is None
+    assert None not in onsets[2:] and len(set(onsets[2:])) == 3
+    assert_rows_are_solo_runs(sweep)
+    # the gain-0 row breaks the loop: nothing reaches the microphone
+    assert not rows[0].d.any() and not rows[0].x.any()
+    np.testing.assert_array_equal(rows[0].y, rows[0].s)
+
+
+def test_sweep_frame_by_frame_howl_flags():
+    sweep = LoopScene(noise_signal(0.6, 3, peak=0.3), coupled_rir(), gain=(0.2, 3.0),
+                      delay=0.02)
+    engine = ClosedLoop(sweep, IdentityAhs())
+    fired = [engine.step_frame() for _ in range(engine.total_frames)]
+    quiet, loud = engine.result()
+    assert quiet.howl_event is None and loud.howl_event is not None
+    assert fired.index(True) == loud.howl_event // engine.frame_size
+
+
+@pytest.mark.parametrize("sat", [1e-9, 1e-3, 1e6])
+def test_sweep_extreme_saturation_rows_equal_solo_runs(sat):
+    sweep = LoopScene(noise_signal(0.3, 4), coupled_rir(), gain=(0.0, 1.0, 4.0), delay=0.02,
+                      sat=sat)
+    for row in assert_rows_are_solo_runs(sweep):
+        assert np.max(np.abs(row.x)) <= sat
+
+
+def test_sweep_silent_near_end_stays_silent():
+    silent = TimeSignal(np.zeros(int(0.2 * FS)), FS)
+    sweep = LoopScene(silent, generate_rir(ROOM), gain=(0.0, 2.0, 50.0), delay=0.02)
+    for row in assert_rows_are_solo_runs(sweep):
+        assert row.howl_event is None
+        for name in ("y", "s_hat", "x", "d"):
+            assert not getattr(row, name).any()
+
+
+def test_sweep_gain_validation():
+    sig, rir = noise_signal(0.1, 0), Rir(np.array([1.0]), FS)
+    with pytest.raises(ValueError, match="at least one gain"):
+        LoopScene(sig, rir, gain=(), delay=0.01)
+    with pytest.raises(ValueError, match="nonnegative"):
+        LoopScene(sig, rir, gain=(1.0, -0.5), delay=0.01)
+    sweep = LoopScene(sig, rir, gain=(1, 2.5), delay=0.01)
+    assert sweep.gain == (1.0, 2.5) and sweep.rows == 2
+    assert LoopScene(sig, rir, gain=1.0, delay=0.01).rows is None
+    with pytest.raises(ValueError, match="wrong length"):
+        run_scene(sweep, lambda frame: frame[0])
+
+
+def test_detector_scans_rows_with_their_own_carry():
+    det = HowlDetectorConfig(run_length=100)
+    chunk = np.full((4, 50), 1.5)
+    chunk[1, 20] = 0.0   # breaks row 1's run
+    chunk[2] = 0.5       # row 2 is quiet
+    first, carry = _howl_scan(chunk, det, np.array([60, 60, 60, 0]))
+    # row 0 crosses 100 at its 41st sample; row 1's run restarts at 21
+    assert first.tolist() == [40, -1, -1, -1]
+    assert carry.tolist() == [110, 29, 0, 50]
+    first, carry = _howl_scan(np.full((2, 50), 0.5), det, np.array([99, 3]))
+    assert first is None and carry == 0

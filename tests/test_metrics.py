@@ -9,10 +9,10 @@ import pytest
 
 from howlkit import loop
 from howlkit.ahs import KalmanAhs
-from howlkit.loop import IdentityAhs, LoopScene
+from howlkit.loop import IdentityAhs, LoopScene, run_scene
 from howlkit.metrics import (SDR_CAP_DB, SDR_FLOOR_DB, EvalReport, EvalRow,
                              evaluate, lsd, sdr, spectrogram_pgm)
-from howlkit.nets import make_mask_net
+from howlkit.nets import make_cov_dd_net, make_cov_vv_net, make_mask_net
 from howlkit.rooms import Rir
 from howlkit.signals import StftConfig, TimeSignal
 
@@ -263,3 +263,48 @@ def test_evaluate_reports_howl_flags():
     quiet = evaluate([quick_scene(seed=1)], {"kalman": lambda s: KalmanAhs.for_scene(s)},
                      gains=(1.5,))
     assert not quiet.rows[0].howled
+
+
+def reference_evaluate(scenes, variants, gains):
+    """evaluate as one scalar-gain run_scene per (variant, gain, scene)."""
+    rows = []
+    for name in sorted(variants):
+        for gain in gains:
+            for sid, scene in enumerate(scenes):
+                swept = replace(scene, gain=float(gain))
+                res = run_scene(swept, variants[name](swept))
+                s_hat = res.s_hat_aligned()
+                rows.append(EvalRow(name, float(gain), sid, sdr(res.s, s_hat),
+                                    lsd(res.s, s_hat), res.howl_event is not None))
+    return rows
+
+
+def test_evaluate_rows_equal_scalar_runs():
+    scenes = [quick_scene(duration=1.0, delay=0.02, seed=i, gain=0.7) for i in range(2)]
+    gains = (0.0, 1.5, 3.0)
+    calls = []
+
+    def kalman(scene):
+        calls.append(scene.gain)
+        return KalmanAhs.for_scene(scene)
+
+    variants = {"none": lambda scene: IdentityAhs(), "kalman": kalman}
+    report = evaluate(scenes, variants, gains=gains)
+    # one lockstep sweep per (variant, scene), whatever the template's gain
+    assert calls == [gains, gains]
+    reference = reference_evaluate(scenes, variants, gains)
+    assert list(report.rows) == reference
+    assert {r.howled for r in reference if r.variant == "none"} == {False, True}
+
+
+def test_evaluate_neural_rows_agree_with_scalar_runs():
+    bins = StftConfig().num_bins
+    nets = {"mask_net": make_mask_net(bins, hidden=(6,), seed=4),
+            "vv_net": make_cov_vv_net(bins, seed=5), "dd_net": make_cov_dd_net(bins, seed=6)}
+    variants = {"neural": lambda scene: KalmanAhs.for_scene(scene, **nets)}
+    scenes = [quick_scene(seed=5)]
+    report = evaluate(scenes, variants, gains=(1.5, 2.5))
+    for row, ref in zip(report.rows, reference_evaluate(scenes, variants, (1.5, 2.5))):
+        assert (row.variant, row.gain, row.scene_id, row.howled) == \
+            (ref.variant, ref.gain, ref.scene_id, ref.howled)
+        assert abs(row.sdr - ref.sdr) < 1e-12 and abs(row.lsd - ref.lsd) < 1e-12
