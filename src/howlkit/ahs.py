@@ -22,7 +22,7 @@ import numpy as np
 
 from .fdkf import ClassicalCovariances, CovariancePair, FdkfConfig, KalmanFilter, shift_in
 from .loop import DelayLine
-from .nets import mask_apply, normalize_log_power
+from .nets import HiddenState, mask_apply, normalize_log_power
 from .signals import StftConfig, StreamingIstft, StreamingStft, log_power
 
 MASK_SCOPES = ("everywhere", "predict_only")
@@ -40,10 +40,13 @@ class KalmanAhs:
     (default) feeds it to prediction, gain and update alike; "predict_only"
     keeps the raw loudspeaker reference for gain and update.
 
-    A tuple ``gain`` builds a sweep processor: one independent stream per
-    gain, called with (B, hop) chunks and returning (B, hop) chunks, as a
-    gain-sweep LoopScene hands them over.  It runs forward only: it records
-    no training window.
+    A tuple ``gain`` builds a multi-row processor: one independent stream
+    per gain, called with (B, hop) chunks and returning (B, hop) chunks, as
+    a gain sweep or a stack of scenes hands them over (``delay_samples`` and
+    ``sat`` may then give one value per row).  Every array it keeps and
+    records carries the leading row axis, every reduction runs over the
+    last axis, and each row is bitwise the processor it would be alone,
+    training windows included.
     """
 
     def __init__(self, gain, delay_samples, sat=1.0, stft_cfg=None, fdkf_cfg=None,
@@ -59,7 +62,11 @@ class KalmanAhs:
         gains = np.asarray(gain, dtype=np.float64)
         if gains.ndim > 1 or gains.size == 0 or np.any(gains < 0):
             raise ValueError("gain must be nonnegative: one value or a nonempty tuple")
-        if delay_samples < stft_cfg.hop:
+        rows = None if gains.ndim == 0 else len(gains)
+        for name, value in (("delay_samples", delay_samples), ("sat", sat)):
+            if np.ndim(value) and (rows is None or len(value) != rows):
+                raise ValueError(f"{name} gives one value per row of a tuple gain")
+        if np.min(delay_samples) < stft_cfg.hop:
             raise ValueError("loop delay must be at least one hop for the reference mirror")
         if (vv_net is None) != (dd_net is None):
             raise ValueError("covariance networks come as a pair: both or neither")
@@ -68,11 +75,12 @@ class KalmanAhs:
 
         self.cfg = stft_cfg
         self.fcfg = fdkf_cfg
-        self.rows = None if gains.ndim == 0 else len(gains)
-        # (B, 1) in a sweep, so it scales each row's (hop,) chunk
-        self.gain = float(gain) if self.rows is None else gains[:, None]
-        self.delay_samples = int(delay_samples)
-        self.sat = float(sat)
+        self.rows = rows
+        # (B, 1) with rows, so it scales each row's (hop,) chunk
+        self.gain = float(gain) if rows is None else gains[:, None]
+        self.delay_samples = (int(delay_samples) if np.ndim(delay_samples) == 0
+                              else tuple(int(d) for d in delay_samples))
+        self.sat = float(sat) if np.ndim(sat) == 0 else np.array(sat, dtype=np.float64)[:, None]
         self.mask_net = mask_net
         self.vv_net = vv_net
         self.dd_net = dd_net
@@ -80,7 +88,6 @@ class KalmanAhs:
         self.stop_grad_filter = bool(stop_grad_filter)
         self.latency = stft_cfg.frame_len - stft_cfg.hop
 
-        rows = self.rows
         self.filt = KalmanFilter(fdkf_cfg, rows)
         self._stft_y = StreamingStft(stft_cfg, rows)
         self._stft_x = StreamingStft(stft_cfg, rows)
@@ -101,8 +108,33 @@ class KalmanAhs:
 
     @classmethod
     def for_scene(cls, scene, **kwargs):
-        """Build a processor matched to a loop scene's gain/delay/clip."""
+        """Build a processor matched to a loop scene's gain/delay/clip, or
+        to each scene of a list of scalar-gain scenes, one row each."""
+        if isinstance(scene, (list, tuple)):
+            return cls(tuple(sc.gain for sc in scene), tuple(sc.delay_samples for sc in scene),
+                       sat=tuple(sc.sat for sc in scene), **kwargs)
         return cls(scene.gain, scene.delay_samples, sat=scene.sat, **kwargs)
+
+    def keep(self, rows):
+        """Continue a multi-row processor with only these rows, in this
+        order; an open window keeps their part of the tape."""
+        self.rows = len(rows)
+        self.gain = self.gain[rows]
+        if np.ndim(self.sat):
+            self.sat = self.sat[rows]
+        if isinstance(self.delay_samples, tuple):
+            self.delay_samples = tuple(self.delay_samples[i] for i in rows)
+        for part in (self.filt, self._stft_y, self._stft_x, self._istft, self._mirror,
+                     self._classical):
+            if part is not None:
+                part.keep(rows)
+        self._x_prev = self._x_prev[rows]
+        self._ref_hist, self._mask_state, self._vv_state, self._dd_state = _take(
+            (self._ref_hist, self._mask_state, self._vv_state, self._dd_state), rows)
+        if self._tape is not None:
+            # entry by entry, so the old tape is freed as the new one grows
+            for k, entry in enumerate(self._tape):
+                self._tape[k] = _take(entry, rows)
 
     # ----------------------------------------------------------- processing
 
@@ -176,8 +208,6 @@ class KalmanAhs:
     # ------------------------------------------------------------- training
 
     def begin_window(self):
-        if self.rows is not None:
-            raise ValueError("a gain-sweep processor records no training window")
         if self._tape is not None:
             raise RuntimeError("a window is already recording")
         self._tape = []
@@ -193,10 +223,12 @@ class KalmanAhs:
     def end_window(self, target_mags, want_grads=True):
         """Close the recorded window against target magnitudes.
 
-        target_mags has one row of per-bin magnitudes per recorded frame.
-        Returns (mean absolute magnitude error, {net name: gradient dict})
-        with entries only for the networks actually attached; the tape is
-        released either way.
+        target_mags has one frame of per-bin magnitudes, shaped like the
+        processor's spectra, per recorded frame.  Returns (mean absolute
+        magnitude error, {net name: gradient dict}) with entries only for
+        the networks actually attached; the tape is released either way.
+        A multi-row processor gives one loss per row and a (B, ...) stack
+        of gradients per parameter, each row its own window's.
         """
         if self._tape is None:
             raise RuntimeError("no window is recording")
@@ -204,16 +236,18 @@ class KalmanAhs:
         if not tape:
             raise ValueError("window is empty")
         targets = np.asarray(target_mags, dtype=np.float64)
-        bins = self.fcfg.num_bins
-        if targets.shape != (len(tape), bins):
-            raise ValueError(
-                f"targets must have shape ({len(tape)}, {bins}), got {targets.shape}")
+        shape = (len(tape),) + self._x_prev.shape
+        if targets.shape != shape:
+            raise ValueError(f"targets must have shape {shape}, got {targets.shape}")
         s_mags = np.abs(np.array([e["s_hat"] for e in tape]))
         diff = s_mags - targets
-        loss = float(np.mean(np.abs(diff)))
+        # each row's (frames, bins) block laid out contiguously, as alone
+        per_row = np.moveaxis(np.abs(diff), 0, -2).reshape(self._x_prev.shape[:-1] + (-1,))
+        loss = np.mean(per_row, axis=-1)
+        loss = float(loss) if self.rows is None else loss
         if not want_grads:
             return loss, {}
-        return loss, self._backward(tape, s_mags, np.sign(diff) / diff.size)
+        return loss, self._backward(tape, s_mags, np.sign(diff) / per_row.shape[-1])
 
     def _backward(self, tape, s_mags, gmag):
         """Reverse the window.
@@ -228,21 +262,22 @@ class KalmanAhs:
         taps, eps, beta = fcfg.num_taps, fcfg.eps, fcfg.beta
         everywhere = self._ref_hist is None
 
+        rows = self.rows
         grads = {}
         if self.mask_net is not None:
-            grads["mask"] = self.mask_net.zero_grads()
-            mask_sadj = self.mask_net.init_state()
+            grads["mask"] = self.mask_net.zero_grads(rows)
+            mask_sadj = self.mask_net.init_state(rows)
         if self.vv_net is not None:
-            grads["vv"] = self.vv_net.zero_grads()
-            grads["dd"] = self.dd_net.zero_grads()
-            vv_sadj = self.vv_net.init_state()
-            dd_sadj = self.dd_net.init_state()
+            grads["vv"] = self.vv_net.zero_grads(rows)
+            grads["dd"] = self.dd_net.zero_grads(rows)
+            vv_sadj = self.vv_net.init_state(rows)
+            dd_sadj = self.dd_net.init_state(rows)
 
-        shape = (fcfg.num_bins, taps)
+        shape = self.filt.W.shape
         gW = np.zeros(shape, dtype=np.complex128)   # dL/dW(k+1)
         gP = np.zeros(shape)                         # dL/dP(k+1)
         gH = np.zeros(shape, dtype=np.complex128)   # dL/d reference history
-        gvv_carry = np.zeros(fcfg.num_bins)          # classical smoother state
+        gvv_carry = np.zeros(shape[:-1])             # classical smoother state
 
         for k in reversed(range(len(tape))):
             e = tape[k]
@@ -272,30 +307,30 @@ class KalmanAhs:
 
             # weight update W(k+1) = A (W + K s_hat)
             gW_new = A * gW
-            gK += gW_new * np.conj(s_hat)[:, None]
-            gS = gS + A * np.sum(gW * conj_K, axis=1)
+            gK += gW_new * np.conj(s_hat)[..., None]
+            gS = gS + A * np.sum(gW * conj_K, axis=-1)
 
             # gain K = P conj(X) / (sum |X|^2 P + vv + eps)
             xpow = X.real**2 + X.imag**2
-            denom = np.sum(xpow * P, axis=1) + vv + eps
+            denom = np.sum(xpow * P, axis=-1) + vv + eps
             PX = P * X  # conj(P conj(X))
-            g_t1 = gK / denom[:, None]
-            gdenom = -np.sum((gK * PX).real, axis=1) / (denom * denom)
+            g_t1 = gK / denom[..., None]
+            gdenom = -np.sum((gK * PX).real, axis=-1) / (denom * denom)
             gP_new += (g_t1 * X).real
-            gP_new += gdenom[:, None] * xpow
+            gP_new += gdenom[..., None] * xpow
             if everywhere:
                 gH_frame += P * np.conj(g_t1)
-                gH_frame += 2.0 * gdenom[:, None] * PX
+                gH_frame += 2.0 * gdenom[..., None] * PX
             gvv = gdenom
 
             # covariance source
             if self.vv_net is not None:
                 dmag, vv_sadj = self.vv_net.step_back(e["vcache"], gvv, vv_sadj, grads["vv"])
                 gS = gS + dmag * unit
-                g_ddout = np.sum(gdd, axis=1) / taps
+                g_ddout = np.sum(gdd, axis=-1) / taps
                 drss, dd_sadj = self.dd_net.step_back(e["dcache"], g_ddout, dd_sadj, grads["dd"])
                 rss = e["rss"]
-                gW_new += (np.where(rss > 0, drss / np.maximum(rss, 1e-300), 0.0))[:, None] * W
+                gW_new += (np.where(rss > 0, drss / np.maximum(rss, 1e-300), 0.0))[..., None] * W
             else:
                 g_sm = gvv + gvv_carry  # vv(k) = b vv(k-1) + (1-b) |s_hat|^2
                 gS = gS + (2.0 * (1.0 - beta)) * g_sm * s_hat
@@ -303,14 +338,14 @@ class KalmanAhs:
                 gW_new += (2.0 * (1.0 - A2)) * gdd * W
 
             # prediction s_hat = Y - sum_l Hp W
-            gW_new += -(conj_X if Hp is X else np.conj(Hp)) * gS[:, None]
-            gH_frame += -np.conj(W) * gS[:, None]
+            gW_new += -(conj_X if Hp is X else np.conj(Hp)) * gS[..., None]
+            gH_frame += -np.conj(W) * gS[..., None]
 
             # history shift: slot 0 holds this frame's reference
             gH_tot = gH_frame + gH
-            gref = gH_tot[:, 0]
+            gref = gH_tot[..., 0]
             gH = np.zeros(shape, dtype=np.complex128)
-            gH[:, :-1] = gH_tot[:, 1:]
+            gH[..., :-1] = gH_tot[..., 1:]
 
             if self.mask_net is not None:
                 gm = (gref * np.conj(e["y"])).real
@@ -338,3 +373,16 @@ class KalmanAhs:
         """
         vars(self).update(copy.deepcopy(snap, self._shared()))
         self._tape = None
+
+
+def _take(tree, rows):
+    """``tree`` with each array in it cut to ``rows`` of its leading axis."""
+    if isinstance(tree, np.ndarray):
+        return tree[rows]
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_take(item, rows) for item in tree)
+    if isinstance(tree, dict):
+        return {key: _take(item, rows) for key, item in tree.items()}
+    if isinstance(tree, HiddenState):
+        return HiddenState(_take(tree.h, rows), _take(tree.c, rows))
+    return tree

@@ -314,11 +314,13 @@ def cmd_train(args) -> None:
     print(f"training {'+'.join(sorted(nets))} for {tcfg.epochs} epochs "
           f"x {tcfg.scenes_per_epoch} scenes (log: {log_path})")
     nets, events = train(nets, sampler, tcfg, val_sampler=val_sampler,
-                         log_path=log_path, checkpoint_dir=out)
+                         log_path=log_path, checkpoint_dir=out, stft_cfg=cfg.stft(),
+                         fdkf_cfg=cfg.fdkf(), det=cfg.detector())
     aborts = sum(1 for e in events if e.howl_abort)
     nans = sum(e.nan_events for e in events)
     losses = [e.loss for e in events if not e.howl_abort]
-    print(f"trained on {len(events)} scenes: mean loss {np.mean(losses):.4f}, "
+    loss = f"mean loss {np.mean(losses):.4f}" if losses else "no scene completed"
+    print(f"trained on {len(events)} scenes: {loss}, "
           f"{aborts} howl aborts, {nans} non-finite steps")
     print(f"checkpoints: {os.path.join(out, 'best')} (best), "
           f"{os.path.join(out, 'final')} (final)")

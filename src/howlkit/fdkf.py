@@ -96,7 +96,18 @@ class KalmanFilter:
         self.W = np.zeros(shape, dtype=np.complex128)
         self.P = np.full(shape, cfg.p_init, dtype=np.float64)
         self.X_hist = np.zeros(shape, dtype=np.complex128)
-        self.clamp_count = 0  # covariance floor hits over all rows, for diagnostics
+        # covariance floor hits per row, for diagnostics
+        self.clamps = np.zeros(shape[:-2], dtype=np.int64)
+
+    @property
+    def clamp_count(self) -> int:
+        """Covariance floor hits, summed over all rows."""
+        return int(self.clamps.sum())
+
+    def keep(self, rows):
+        """Continue with only these rows, in this order."""
+        self.W, self.P, self.X_hist, self.clamps = (
+            a[rows] for a in (self.W, self.P, self.X_hist, self.clamps))
 
     def _check_frame(self, frame, name):
         frame = np.asarray(frame)
@@ -132,7 +143,7 @@ class KalmanFilter:
         P = (A * A) * decay * self.P + cov.psi_dd
         neg = P < 0
         if np.any(neg):
-            self.clamp_count += int(np.count_nonzero(neg))
+            self.clamps += np.count_nonzero(neg, axis=(-2, -1))
             P[neg] = 0.0
         self.P = P
 
@@ -149,6 +160,10 @@ class ClassicalCovariances:
     def __init__(self, cfg: FdkfConfig, rows: Optional[int] = None):
         self.cfg = cfg
         self.smoothed_vv = np.zeros(cfg.num_bins if rows is None else (rows, cfg.num_bins))
+
+    def keep(self, rows):
+        """Continue with only these rows, in this order."""
+        self.smoothed_vv = self.smoothed_vv[rows]
 
     def __call__(self, s_hat, filt: KalmanFilter) -> CovariancePair:
         b = self.cfg.beta

@@ -13,7 +13,7 @@ signal finite so runs can always be scored.
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -189,16 +189,33 @@ class DelayLine:
     """Fixed-occupancy FIFO: peek the oldest samples, then push replacements.
 
     With ``rows`` it holds that many independent lines, advanced together
-    with (rows, count) chunks.
+    with (rows, count) chunks.  ``length`` may then give one length per
+    row: the lines share a buffer as long as the longest, written at one
+    position, and a shorter line reads that many samples nearer to it.
     """
 
-    def __init__(self, length: int, rows: Optional[int] = None):
-        self._buf = np.zeros(length if rows is None else (rows, length))
+    def __init__(self, length, rows: Optional[int] = None):
+        lengths = np.asarray(length, dtype=np.intp)
+        size = int(lengths.max())
+        self._buf = np.zeros(size if rows is None else (rows, size))
         self._pos = 0
+        # per-row read offsets, or None when every row has the full length
+        skip = (size - lengths).reshape(-1, 1)
+        self._skip = skip if skip.any() else None
+
+    def keep(self, rows):
+        """Continue with only these rows, in this order."""
+        self._buf = self._buf[rows]
+        if self._skip is not None:
+            self._skip = self._skip[rows]
 
     def peek(self, count: int) -> np.ndarray:
         buf, pos = self._buf, self._pos
         size = buf.shape[-1]
+        if self._skip is not None:
+            if count > size - self._skip.max():
+                raise ValueError("cannot peek past the line length")
+            return np.take_along_axis(buf, (pos + self._skip + np.arange(count)) % size, axis=-1)
         if count > size:
             raise ValueError("cannot peek past the line length")
         wrap = pos + count - size
@@ -227,70 +244,121 @@ class ClosedLoop:
     frame is handed over before its own output can reach the microphone.
     Trailing samples that do not fill a whole frame are dropped.
 
-    On a gain-sweep scene every stream but ``s`` is (B, n), ``howl_event``
-    is a list with one entry per row, and ``ahs`` maps (B, frame_size)
-    frames to (B, frame_size) frames.  Each row is bitwise the run a scalar
-    scene at its gain gives.
+    ``scene`` may also be a gain sweep or a stack: a list of scalar-gain
+    scenes of equal length, one per row, each with its own target, gain,
+    delay, clip and feedback path.  Then every stream is (B, n) (a sweep
+    shares a 1-D ``s``), ``howl_event`` is a list with one entry per row,
+    and ``ahs`` maps (B, frame_size) frames to (B, frame_size) frames.
+    Each row is bitwise the run its scalar scene gives.
     """
 
-    def __init__(self, scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
+    def __init__(self, scene, ahs, det: Optional[HowlDetectorConfig] = None,
                  duration: Optional[float] = None, frame_size: int = 64):
         det = det if det is not None else HowlDetectorConfig()
-        fs = scene.sample_rate
-        target = scene.target()
-        n = len(target) if duration is None else int(round(duration * fs))
-        if n > len(target):
+        stack = not isinstance(scene, LoopScene)
+        if stack:
+            scenes = list(scene)
+            if not scenes or any(sc.rows is not None for sc in scenes):
+                raise ValueError("a scene stack is a nonempty list of scalar-gain scenes")
+            targets = [sc.target() for sc in scenes]
+            if len({len(t) for t in targets}) > 1:
+                raise ValueError("the scenes of a stack must be equally long")
+            if len({sc.sample_rate for sc in scenes}) > 1:
+                raise ValueError("the scenes of a stack must share one sample rate")
+            rows = len(scenes)
+        else:
+            rows = scene.rows
+            scenes = [scene] if rows is None else [replace(scene, gain=g) for g in scene.gain]
+            targets = [scene.target()]
+        fs = scenes[0].sample_rate
+        n = len(targets[0]) if duration is None else int(round(duration * fs))
+        if n > len(targets[0]):
             raise ValueError("duration exceeds the near-end signal")
-        dly = scene.delay_samples
+        dly = min(sc.delay_samples for sc in scenes)
         if frame_size < 1 or frame_size > dly:
             raise ValueError(f"frame_size must be in [1, {dly}] for this scene")
         n -= n % frame_size
 
-        rows = scene.rows
         lead = () if rows is None else (rows,)
         self.scene = scene
+        self.rows = rows
         self.ahs = ahs
         self.det = det
         self.frame_size = frame_size
-        self.s = target[:n]
+        if stack:
+            self.s = np.stack([t[:n] for t in targets])
+            self.s.setflags(write=False)
+            self._gain = np.array([[sc.gain] for sc in scenes])
+            self._sat = np.array([[sc.sat] for sc in scenes])
+            self._line = DelayLine([sc.delay_samples for sc in scenes], rows)
+            self._conv = StreamingConvolver([sc.feedback_rir for sc in scenes])
+        else:
+            self.s = targets[0][:n]
+            self._gain = scene.gain if rows is None else np.array(scene.gain)[:, None]
+            self._sat = scene.sat
+            self._line = DelayLine(scene.delay_samples, rows)
+            self._conv = StreamingConvolver(scene.feedback_rir, rows)
+        self._row_scenes = scenes
         self.y = np.zeros(lead + (n,))
         self.s_hat = np.zeros(lead + (n,))
         self.x = np.zeros(lead + (n,))
         self.d = np.zeros(lead + (n,))
         self.howl_event = None if rows is None else [None] * rows
-        self._gain = scene.gain if rows is None else np.array(scene.gain)[:, None]
         self._frame_shape = lead + (frame_size,)
-        self._line = DelayLine(dly, rows)
-        self._conv = StreamingConvolver(scene.feedback_rir, rows)
         self._carry = 0
         self._t = 0
 
     @property
     def total_frames(self) -> int:
-        return len(self.s) // self.frame_size
+        return self.s.shape[-1] // self.frame_size
 
     @property
     def frames_done(self) -> int:
         return self._t // self.frame_size
 
+    def keep(self, rows):
+        """Continue a sweep or stack with only these rows, in this order.
+
+        The suppressor keeps the same rows (through its own ``keep``, when
+        it has one), and ``result()`` then covers these rows alone.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        self.rows = len(rows)
+        self._row_scenes = [self._row_scenes[i] for i in rows]
+        if self.s.ndim == 2:
+            self.s = self.s[rows]
+            self.s.setflags(write=False)
+        self.y, self.s_hat, self.x, self.d = (a[rows] for a in (self.y, self.s_hat, self.x, self.d))
+        self.howl_event = [self.howl_event[i] for i in rows]
+        self._gain = self._gain[rows]
+        if np.ndim(self._sat):
+            self._sat = self._sat[rows]
+        if np.ndim(self._carry):
+            self._carry = self._carry[rows]
+        self._frame_shape = (self.rows, self.frame_size)
+        self._line.keep(rows)
+        self._conv.keep(rows)
+        if hasattr(self.ahs, "keep"):
+            self.ahs.keep(rows)
+
     def step_frame(self) -> bool:
         """Advance one frame; returns True if howling fired within it (in
-        any row of a sweep)."""
+        any row of a sweep or stack)."""
         if self.frames_done >= self.total_frames:
             raise RuntimeError("scene already fully processed")
         t = self._t
         sl = slice(t, t + self.frame_size)
         self.d[..., sl] = self._conv.process(self._line.peek(self.frame_size))
-        self.y[..., sl] = self.s[sl] + self.d[..., sl]
+        self.y[..., sl] = self.s[..., sl] + self.d[..., sl]
         out = np.asarray(self.ahs(self.y[..., sl]), dtype=np.float64)
         if out.shape != self._frame_shape:
             raise ValueError("suppressor returned a frame of the wrong length")
         self.s_hat[..., sl] = out
-        self.x[..., sl] = np.clip(self._gain * out, -self.scene.sat, self.scene.sat)
+        self.x[..., sl] = np.clip(self._gain * out, -self._sat, self._sat)
         self._line.push(self.x[..., sl])
         hit, self._carry = _howl_scan(out, self.det, self._carry)
         if hit is not None:
-            if self.scene.rows is None:
+            if self.rows is None:
                 if self.howl_event is None:
                     self.howl_event = t + hit
             else:
@@ -303,25 +371,26 @@ class ClosedLoop:
     def result(self):
         """Streams processed so far, packaged (partial runs are truncated).
 
-        A gain sweep gives a tuple with one SceneResult per gain, in order.
+        A gain sweep or stack gives a tuple with one SceneResult per row, in
+        order.
         """
-        if self.scene.rows is None:
-            return self._result(self.y, self.s_hat, self.x, self.d, self.howl_event,
-                                self.scene.gain)
-        return tuple(self._result(self.y[i], self.s_hat[i], self.x[i], self.d[i],
-                                  self.howl_event[i], gain)
-                     for i, gain in enumerate(self.scene.gain))
+        if self.rows is None:
+            return self._result(self.s, self.y, self.s_hat, self.x, self.d, self.howl_event,
+                                self.scene)
+        return tuple(self._result(self.s if self.s.ndim == 1 else self.s[i], self.y[i],
+                                  self.s_hat[i], self.x[i], self.d[i], self.howl_event[i], sc)
+                     for i, sc in enumerate(self._row_scenes))
 
-    def _result(self, y, s_hat, x, d, howl_event, gain) -> SceneResult:
+    def _result(self, s, y, s_hat, x, d, howl_event, scene) -> SceneResult:
         n = self._t
         return SceneResult(
-            s=self.s[:n], y=y[:n], s_hat=s_hat[:n], x=x[:n], d=d[:n],
+            s=s[:n], y=y[:n], s_hat=s_hat[:n], x=x[:n], d=d[:n],
             howl_event=howl_event,
             ahs_latency=int(getattr(self.ahs, "latency", 0)),
-            sample_rate=self.scene.sample_rate,
-            gain=gain,
-            delay_samples=self.scene.delay_samples,
-            seed=self.scene.seed,
+            sample_rate=scene.sample_rate,
+            gain=scene.gain,
+            delay_samples=scene.delay_samples,
+            seed=scene.seed,
         )
 
 
@@ -332,7 +401,8 @@ def run_scene(scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
     Divergence never raises: the loudspeaker clip bounds every stream, and a
     sustained loud suppressor output is reported through the result's
     ``howl_event`` (the run always completes full length).  Returns a
-    SceneResult, or for a gain sweep a tuple of them, one per gain.
+    SceneResult, or for a gain sweep or a stack of scenes a tuple of them,
+    one per row.
     """
     engine = ClosedLoop(scene, ahs, det=det, duration=duration, frame_size=frame_size)
     for _ in range(engine.total_frames):

@@ -192,8 +192,8 @@ def evaluate(scenes, variants, gains=(1.5, 2.0, 2.5, 3.0), det: HowlDetectorConf
     each factory is called once per (variant, scene) with a gain-sweep copy
     (``gain`` is the tuple of all gains) and must return a suppressor that
     maps (B, hop) frames to (B, hop) frames; all gains then run in lockstep.
-    Each row equals the scalar-gain run's (bitwise for IdentityAhs and the
-    classical KalmanAhs; attached nets agree to rounding).  The copies share
+    Each row is bitwise the scalar-gain run's, for IdentityAhs and for
+    KalmanAhs with or without nets.  The copies share
     each template's target, so it is reverberated once per scene, and its
     log spectrum is taken once.  Rows come in a fixed order: variant name,
     then gain, then scene.

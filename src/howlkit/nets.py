@@ -44,6 +44,22 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def _matvec(W, v):
+    """W @ v for one vector, or for each row of a (rows, n) stack.
+
+    The stacked form runs one matrix-vector product per row, so each row is
+    bitwise its solo product (a matrix-matrix product may sum in another
+    order).
+    """
+    return W @ v if v.ndim == 1 else np.matmul(W, v[..., None])[..., 0]
+
+
+def _outer(a, b):
+    """Outer product of two vectors, or of each row pair of two stacks."""
+    # einsum's outer product is faster than broadcasting at these sizes
+    return np.einsum("i,j->ij", a, b) if a.ndim == 1 else np.einsum("bi,bj->bij", a, b)
+
+
 @dataclass
 class HiddenState:
     """Per-layer hidden and cell vectors; one instance per stream."""
@@ -96,16 +112,17 @@ class LstmNet:
             [np.zeros(lead + (H,)) for H in self.hidden_sizes],
         )
 
-    def zero_grads(self) -> dict:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+    def zero_grads(self, rows=None) -> dict:
+        """Zero gradients, or a (rows, ...) stack of them, one per stream."""
+        lead = () if rows is None else (rows,)
+        return {k: np.zeros(lead + v.shape) for k, v in self.params.items()}
 
     def step(self, x, state: HiddenState):
         """One frame forward.  Returns (output, new_state, cache).
 
         ``x`` is one (input_size,) frame, or a (rows, input_size) stack of
-        frames for a state from ``init_state(rows)``; each row then agrees
-        with its solo step to rounding (a matrix product may sum in another
-        order than a matrix-vector one).
+        frames for a state from ``init_state(rows)``; each row is then
+        bitwise its solo step.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim > 2 or x.shape[-1:] != (self.input_size,):
@@ -114,8 +131,7 @@ class LstmNet:
         inp = x
         new_h, new_c, layer_caches = [], [], []
         for l, H in enumerate(self.hidden_sizes):
-            # (W @ v.T).T is W @ v for one frame and a row per frame otherwise
-            z = ((self.params[f"wx{l}"] @ inp.T).T + (self.params[f"wh{l}"] @ state.h[l].T).T
+            z = (_matvec(self.params[f"wx{l}"], inp) + _matvec(self.params[f"wh{l}"], state.h[l])
                  + self.params[f"b{l}"])
             gates = _sigmoid(z)  # one pass for i, f and o; its cell slice is unused
             i = gates[..., :H]
@@ -129,7 +145,7 @@ class LstmNet:
             new_h.append(h)
             new_c.append(c)
             inp = h
-        v = (self.params["w_out"] @ inp.T).T + self.params["b_out"]
+        v = _matvec(self.params["w_out"], inp) + self.params["b_out"]
         if self.output_activation == "sigmoid":
             out = _sigmoid(v)
         elif self.output_activation == "softplus":
@@ -157,7 +173,10 @@ class LstmNet:
 
         d_out is dL/d(output); d_state_next carries dL/dh and dL/dc flowing
         back from the following time step.  Parameter gradients accumulate
-        into ``grads``.  Returns (d_x, d_state_prev).
+        into ``grads``.  Returns (d_x, d_state_prev).  For a cache of a
+        stacked step every argument carries the leading row axis, ``grads``
+        included (``zero_grads(rows)``), and each row is bitwise its solo
+        step back.
         """
         layer_caches, h_last, v, out = cache
         d_out = np.asarray(d_out, dtype=np.float64)
@@ -167,10 +186,9 @@ class LstmNet:
             dv = d_out * _sigmoid(v)
         else:
             dv = d_out
-        # einsum's outer product is faster than broadcasting at these sizes
-        grads["w_out"] += np.einsum("i,j->ij", dv, h_last)
+        grads["w_out"] += _outer(dv, h_last)
         grads["b_out"] += dv
-        dh = self.params["w_out"].T @ dv
+        dh = _matvec(self.params["w_out"].T, dv)
 
         d_prev_h = [None] * len(self.hidden_sizes)
         d_prev_c = [None] * len(self.hidden_sizes)
@@ -185,13 +203,13 @@ class LstmNet:
                 (dc * c_prev) * f * (1.0 - f),
                 (dc * i) * (1.0 - g * g),
                 do * o * (1.0 - o),
-            ])
-            grads[f"wx{l}"] += np.einsum("i,j->ij", dz, inp)
-            grads[f"wh{l}"] += np.einsum("i,j->ij", dz, h_prev)
+            ], axis=-1)
+            grads[f"wx{l}"] += _outer(dz, inp)
+            grads[f"wh{l}"] += _outer(dz, h_prev)
             grads[f"b{l}"] += dz
-            d_prev_h[l] = self.params[f"wh{l}"].T @ dz
+            d_prev_h[l] = _matvec(self.params[f"wh{l}"].T, dz)
             d_prev_c[l] = dc * f
-            dh = self.params[f"wx{l}"].T @ dz  # input of layer l is h of layer l-1
+            dh = _matvec(self.params[f"wx{l}"].T, dz)  # input of layer l is h of layer l-1
         return dh, HiddenState(d_prev_h, d_prev_c)
 
     def backward(self, caches, d_outs, d_state_final=None):

@@ -157,15 +157,32 @@ class StreamingConvolver:
     bit-identical output to one batch call on the concatenated signal.
     With ``rows`` it filters that many independent streams, given as
     (rows, n) chunks, in one call; each row is bitwise its solo stream.
+    Given a list of Rirs, one per row, it runs one solo convolver per row.
     """
 
-    def __init__(self, rir: Rir, rows: Optional[int] = None):
+    def __init__(self, rir, rows: Optional[int] = None):
         self.rir = rir
+        self._rows = None
+        if not isinstance(rir, Rir):
+            self._rows = [StreamingConvolver(path) for path in rir]
+            return
         m = len(rir.taps) - 1
         self._state = np.zeros(m if rows is None else (rows, m)) if m else None
 
+    def keep(self, rows):
+        """Continue with only these rows, in this order."""
+        if self._rows is not None:
+            self._rows = [self._rows[i] for i in rows]
+        elif self._state is not None:
+            self._state = self._state[rows]
+
     def process(self, chunk: np.ndarray) -> np.ndarray:
         chunk = np.asarray(chunk, dtype=np.float64)
+        if self._rows is not None:
+            out = np.empty_like(chunk)
+            for i, conv in enumerate(self._rows):
+                out[i] = conv.process(chunk[i])
+            return out
         if chunk.size == 0:
             return chunk.copy()
         if self._state is None:

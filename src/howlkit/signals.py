@@ -181,6 +181,10 @@ class StreamingStft:
         self._buf = np.zeros(cfg.frame_len if rows is None else (rows, cfg.frame_len))
         self._win = cfg.analysis_window
 
+    def keep(self, rows):
+        """Continue with only these rows, in this order."""
+        self._buf = self._buf[rows]
+
     def push(self, chunk: np.ndarray) -> np.ndarray:
         hop = self.cfg.hop
         if chunk.shape[-1] != hop:
@@ -207,6 +211,10 @@ class StreamingIstft:
         self._ola = np.zeros(cfg.frame_len if rows is None else (rows, cfg.frame_len))
         self._win = cfg.synthesis_window
         self._gain = cfg.cola_gain
+
+    def keep(self, rows):
+        """Continue with only these rows, in this order."""
+        self._ola = self._ola[rows]
 
     def push(self, frame: np.ndarray) -> np.ndarray:
         hop = self.cfg.hop

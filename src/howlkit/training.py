@@ -24,7 +24,7 @@ from scipy.signal import lfilter
 
 from .ahs import KalmanAhs
 from .fdkf import FdkfConfig
-from .loop import ClosedLoop, LoopScene
+from .loop import ClosedLoop, HowlDetectorConfig, LoopScene, run_scene
 from .metrics import sdr
 from .nets import load_params, make_cov_dd_net, make_cov_vv_net, make_mask_net, save_params
 from .rooms import Rir, RoomSpec, convolve_batch_peak, generate_rir, sabine_min_rt60
@@ -385,10 +385,11 @@ class TrainEvent:
         })
 
 
-def build_ahs(nets, scene: LoopScene, stft_cfg: Optional[StftConfig] = None,
+def build_ahs(nets, scene, stft_cfg: Optional[StftConfig] = None,
               fdkf_cfg: Optional[FdkfConfig] = None, mask_scope: str = "everywhere",
               stop_grad_filter: bool = False) -> KalmanAhs:
-    """Wrap shared nets in a fresh suppressor sized for one scene."""
+    """Wrap shared nets in a fresh suppressor sized for one scene, or with
+    one row per scene of a list."""
     return KalmanAhs.for_scene(
         scene, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
         mask_net=nets.get("mask"), vv_net=nets.get("vv"), dd_net=nets.get("dd"),
@@ -407,93 +408,12 @@ def _assert_finite_weights(nets):
                 raise RuntimeError(f"non-finite weight in net {name!r} parameter {key!r}")
 
 
-def _grads_finite(loss, grads) -> bool:
-    if not np.isfinite(loss):
-        return False
+def _finite_rows(losses, grads):
+    """Per row of a window: is its loss and every gradient finite?"""
+    ok = np.isfinite(losses)
     for _, g in _flat_items(grads):
-        if not np.all(np.isfinite(g)):
-            return False
-    return True
-
-
-class _SceneRun:
-    """Bookkeeping for one scene advancing inside a training batch."""
-
-    def __init__(self, nets, scene, cfg, scene_id, epoch):
-        hop = StftConfig().hop
-        if cfg.t_bptt * hop > scene.delay_samples:
-            raise ValueError(
-                f"t_bptt window ({cfg.t_bptt} frames x {hop} samples) exceeds the "
-                f"loop delay ({scene.delay_samples} samples); in-window feedback "
-                "would be ignored by the window gradients")
-        self.ahs = build_ahs(nets, scene, mask_scope=cfg.mask_scope,
-                             stop_grad_filter=cfg.stop_grad_filter)
-        self.engine = ClosedLoop(scene, self.ahs, frame_size=self.ahs.cfg.hop)
-        self.target_stft = StreamingStft(self.ahs.cfg)
-        self.target_mags = []
-        self.scene_id = scene_id
-        self.epoch = epoch
-        self.window_losses = []
-        self.howl_abort = False
-        self.howl_sample = None
-        self.nan_events = 0
-        self.done = self.engine.total_frames == 0
-        self.finalized = self.done
-        if not self.done:
-            self.ahs.begin_window()
-
-    def step(self):
-        """Advance one frame, keeping the target spectrum in lockstep."""
-        engine = self.engine
-        t = engine.frames_done * engine.frame_size
-        howled = engine.step_frame()
-        chunk = engine.s[t: t + engine.frame_size]
-        frame = self.target_stft.push(chunk)
-        self.target_mags.append(np.abs(frame))
-        if howled:
-            # discard the half-built window: a diverging suppressor must not
-            # contribute a weight update
-            self.ahs.abort_window()
-            self.howl_abort = True
-            self.howl_sample = engine.howl_event
-            self.done = True
-            self.finalized = True
-        elif engine.frames_done >= engine.total_frames:
-            self.done = True
-
-    def close_window(self):
-        """End the open window; returns (loss, grads) or None if discarded."""
-        count = self.ahs.window_frames
-        if count == 0:
-            if self.done:
-                self.finalized = True
-            return None
-        if len(self.target_mags) < count:
-            raise AssertionError("target frames out of step with suppressor frames")
-        targets = np.array(self.target_mags[-count:])
-        loss, grads = self.ahs.end_window(targets)
-        if not _grads_finite(loss, grads):
-            self.nan_events += 1
-            self.done = True
-            self.finalized = True
-            return None
-        self.window_losses.append(loss)
-        if self.done:
-            self.finalized = True
-        else:
-            self.ahs.begin_window()
-        return loss, grads
-
-    def event(self) -> TrainEvent:
-        losses = self.window_losses
-        return TrainEvent(
-            epoch=self.epoch, scene_id=self.scene_id,
-            frames=self.engine.frames_done,
-            loss=float(np.mean(losses)) if losses else 0.0,
-            howl_abort=self.howl_abort, howl_sample=self.howl_sample,
-            nan_events=self.nan_events,
-            clamp_events=int(self.ahs.filt.clamp_count),
-        )
+        ok &= np.isfinite(g).reshape(len(g), -1).all(axis=1)
+    return ok
 
 
 def _average_grads(grad_list):
@@ -513,35 +433,91 @@ def _average_grads(grad_list):
     return out
 
 
-def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_ids):
-    """Run a batch of scenes in lockstep with window-synchronized updates.
+def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_ids,
+                 stft_cfg: Optional[StftConfig] = None, fdkf_cfg: Optional[FdkfConfig] = None,
+                 det: Optional[HowlDetectorConfig] = None):
+    """Run a batch of equally long scenes as one stack, with
+    window-synchronized updates.
 
-    Scenes advance frame by frame together; whenever windows fill (or scenes
-    end), each open window's gradients are computed, averaged across the
-    batch in scene order, and applied as one optimizer step.  A scene that
-    howls or produces non-finite numbers drops out without contributing.
+    Every scene is one row of a single closed loop and suppressor, so all
+    rows advance in one hop and close their windows together.  Each
+    window's per-row gradients are averaged over the rows in scene order
+    and applied as one optimizer step.  A row that howls, or whose window
+    loss or gradients are non-finite, is cut out of the stack on the spot
+    without contributing that window.
     """
-    runs = [_SceneRun(nets, scene, cfg, sid, epoch)
-            for scene, sid in zip(scenes, scene_ids)]
+    ahs = build_ahs(nets, scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
+                    mask_scope=cfg.mask_scope, stop_grad_filter=cfg.stop_grad_filter)
+    hop = ahs.cfg.hop
+    for scene in scenes:
+        if cfg.t_bptt * hop > scene.delay_samples:
+            raise ValueError(
+                f"t_bptt window ({cfg.t_bptt} frames x {hop} samples) exceeds the "
+                f"loop delay ({scene.delay_samples} samples); in-window feedback "
+                "would be ignored by the window gradients")
+    engine = ClosedLoop(scenes, ahs, det=det, frame_size=hop)
+    target_stft = StreamingStft(ahs.cfg, len(scenes))
+    live = list(range(len(scenes)))  # scene index of each remaining row
+    losses = [[] for _ in scenes]
+    frames, clamps = [0] * len(scenes), [0] * len(scenes)
+    howl_sample, nan_events = [None] * len(scenes), [0] * len(scenes)
     params = _net_params(nets)
-    while True:
-        active = [r for r in runs if not r.done]
-        if not active:
+
+    def drop(gone):
+        for row in gone:
+            frames[live[row]] = engine.frames_done
+            clamps[live[row]] = int(ahs.filt.clamps[row])
+        kept = [row for row in range(len(live)) if row not in gone]
+        live[:] = [live[row] for row in kept]
+        if live:
+            engine.keep(kept)  # also cuts the suppressor and its open window
+            target_stft.keep(kept)
+            window[:] = [mags[kept] for mags in window]
+
+    window = []  # target magnitudes of the open window, one (rows, bins) per frame
+    if engine.total_frames:
+        ahs.begin_window()
+    while live and engine.frames_done < engine.total_frames:
+        t = engine.frames_done * hop
+        engine.step_frame()
+        window.append(np.abs(target_stft.push(engine.s[:, t:t + hop])))
+        howled = [row for row, at in enumerate(engine.howl_event) if at is not None]
+        if howled:
+            # a diverging suppressor must not contribute a weight update: its
+            # half-built window goes with its row
+            for row in howled:
+                howl_sample[live[row]] = engine.howl_event[row]
+            drop(howled)
+        if not live:
             break
-        for run in active:
-            run.step()
-        due = [r for r in runs if not r.finalized
-               and (r.done or r.ahs.window_frames >= cfg.t_bptt)]
-        if due:
-            contributions = []
-            for run in due:
-                closed = run.close_window()
-                if closed is not None:
-                    contributions.append(closed[1])
-            if contributions:
-                optimizer.step(params, _average_grads(contributions))
-                _assert_finite_weights(nets)
-    return [run.event() for run in runs]
+        ended = engine.frames_done >= engine.total_frames
+        if ahs.window_frames < cfg.t_bptt and not ended:
+            continue
+        window_losses, grads = ahs.end_window(np.array(window))
+        window = []
+        ok = _finite_rows(window_losses, grads)
+        good, bad = np.flatnonzero(ok).tolist(), np.flatnonzero(~ok).tolist()
+        for row in good:
+            losses[live[row]].append(float(window_losses[row]))
+        if good:
+            # each row's gradients are views into the stacks
+            optimizer.step(params, _average_grads(
+                [{name: {key: g[row] for key, g in tree.items()} for name, tree in grads.items()}
+                 for row in good]))
+            _assert_finite_weights(nets)
+        del grads  # free the stacks before the next window records
+        for row in bad:
+            nan_events[live[row]] += 1
+        if bad:
+            drop(bad)
+        if live and not ended:
+            ahs.begin_window()
+    drop(range(len(live)))
+    return [TrainEvent(epoch=epoch, scene_id=sid, frames=frames[i],
+                       loss=float(np.mean(losses[i])) if losses[i] else 0.0,
+                       howl_abort=howl_sample[i] is not None, howl_sample=howl_sample[i],
+                       nan_events=nan_events[i], clamp_events=clamps[i])
+            for i, sid in enumerate(scene_ids)]
 
 
 def train_scene(nets, scene: LoopScene, cfg: TrainConfig, optimizer=None):
@@ -557,13 +533,14 @@ def train_scene(nets, scene: LoopScene, cfg: TrainConfig, optimizer=None):
     return nets, events[0]
 
 
-def _validate(nets, scenes, cfg: TrainConfig) -> float:
-    from .loop import run_scene  # local import keeps module load light
-    scores = []
-    for scene in scenes:
-        res = run_scene(scene, build_ahs(nets, scene, mask_scope=cfg.mask_scope))
-        scores.append(sdr(res.s, res.s_hat_aligned()))
-    return float(np.mean(scores))
+def _validate(nets, scenes, cfg: TrainConfig, stft_cfg: Optional[StftConfig] = None,
+              fdkf_cfg: Optional[FdkfConfig] = None,
+              det: Optional[HowlDetectorConfig] = None) -> float:
+    """Mean SDR of the nets over held-out scenes, run forward as one stack."""
+    ahs = build_ahs(nets, scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
+                    mask_scope=cfg.mask_scope)
+    results = run_scene(scenes, ahs, det=det, frame_size=ahs.cfg.hop)
+    return float(np.mean([sdr(res.s, res.s_hat_aligned()) for res in results]))
 
 
 def save_checkpoint(nets, path: str, optimizer=None, meta=None):
@@ -595,14 +572,18 @@ def load_checkpoint(path: str):
 
 
 def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[SceneSampler] = None,
-          log_path: Optional[str] = None, checkpoint_dir: Optional[str] = None):
+          log_path: Optional[str] = None, checkpoint_dir: Optional[str] = None,
+          stft_cfg: Optional[StftConfig] = None, fdkf_cfg: Optional[FdkfConfig] = None,
+          det: Optional[HowlDetectorConfig] = None):
     """Full training run: epochs x scenes_per_epoch scenes in batches.
 
     Fresh scenes are drawn every epoch (index = epoch * scenes_per_epoch + j,
     so no scene repeats).  After each epoch the nets are scored by mean SDR
     on fixed held-out scenes from ``val_sampler`` when given; the best
     checkpoint is kept under ``checkpoint_dir`` and reloaded into the nets
-    at the end.  Returns ``(nets, events)``.
+    at the end.  ``stft_cfg``, ``fdkf_cfg`` and ``det`` set the suppressor's
+    transform and filter and the howling test (library defaults when
+    omitted).  Returns ``(nets, events)``.
     """
     if not nets:
         raise ValueError("no nets to train")
@@ -623,7 +604,8 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
                 chunk = indices[lo: lo + cfg.batch_size]
                 scenes = [sampler.scene(i) for i in chunk]
                 ids = [sampler.scene_id(i) for i in chunk]
-                for event in _train_batch(nets, scenes, cfg, optimizer, epoch, ids):
+                for event in _train_batch(nets, scenes, cfg, optimizer, epoch, ids,
+                                          stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg, det=det):
                     events.append(event)
                     if log_file:
                         log_file.write(event.to_json() + "\n")
@@ -631,7 +613,8 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
                 if val_scenes is None:
                     val_scenes = [val_sampler.scene(i, gain=cfg.validation_gain)
                                   for i in range(cfg.validation_scenes)]
-                score = _validate(nets, val_scenes, cfg)
+                score = _validate(nets, val_scenes, cfg, stft_cfg=stft_cfg,
+                                  fdkf_cfg=fdkf_cfg, det=det)
                 if log_file:
                     log_file.write(json.dumps({"epoch": epoch, "val_sdr": score}) + "\n")
                 if score > best_sdr:

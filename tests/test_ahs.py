@@ -373,9 +373,8 @@ def test_classical_sweep_rows_equal_solo_runs_bitwise():
 
 
 def test_neural_sweep_rows_agree_with_solo_runs():
-    # the nets' matrix products may sum in another order than the solo
-    # matrix-vector ones, so rows agree to rounding, not bit for bit; the
-    # loop must stay bounded, since a diverging one amplifies any rounding
+    # the nets run one matrix-vector product per row, so rows are bitwise
+    # their solo runs
     bins = StftConfig().num_bins
     nets = {"mask_net": make_mask_net(bins, hidden=(8,), seed=1),
             "vv_net": make_cov_vv_net(bins, seed=2), "dd_net": make_cov_dd_net(bins, seed=3)}
@@ -385,8 +384,7 @@ def test_neural_sweep_rows_agree_with_solo_runs():
     for row, solo in zip(rows, solos):
         assert row.howl_event == solo.howl_event
         for name in ("y", "s_hat", "x", "d"):
-            np.testing.assert_allclose(getattr(row, name), getattr(solo, name),
-                                       rtol=0, atol=1e-12, err_msg=name)
+            assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), name
 
 
 def test_sweep_processor_validation():
@@ -394,8 +392,14 @@ def test_sweep_processor_validation():
         KalmanAhs((), 2400)
     with pytest.raises(ValueError, match="gain"):
         KalmanAhs((1.0, -1.0), 2400)
+    with pytest.raises(ValueError, match="one value per row"):
+        KalmanAhs((1.0, 2.0), (2400, 2400, 2400))
+    with pytest.raises(ValueError, match="one value per row"):
+        KalmanAhs(1.0, 2400, sat=(1.0, 1.0))
     ahs = KalmanAhs((0.0, 2.0), 2400)
     assert ahs.rows == 2 and ahs.gain.shape == (2, 1)
-    with pytest.raises(ValueError, match="training window"):
-        ahs.begin_window()
+    # a multi-row processor records a window of its own per row
+    ahs.begin_window()
     np.testing.assert_array_equal(ahs(np.zeros((2, 64))), np.zeros((2, 64)))
+    loss, grads = ahs.end_window(np.ones((1, 2, 65)))
+    assert loss.tolist() == [1.0, 1.0] and grads == {}

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +222,54 @@ def test_train_zero_epochs_is_config_error(tmp_path, capsys):
     assert run("train", "--synthetic", "--config", cfg, "--epochs", 0,
                "--out", tmp_path / "o") == EXIT_CONFIG
     assert "epochs" in capsys.readouterr().err
+
+
+def test_train_honours_the_stft_and_fdkf_sections(tmp_path, capsys):
+    # a 256/128 transform has 129 bins; a 128-sample hop needs a shorter
+    # window to stay within the loop delay
+    data = json.loads(json.dumps(TINY_TRAIN))
+    data["trainer"]["t_bptt"] = 16
+    data.update({"stft": {"frame_len": 256, "hop": 128}, "fdkf": {"num_bins": 129}})
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    assert run("train", "--synthetic", "--config", cfg, "--out", out) == EXIT_OK
+    capsys.readouterr()
+    assert cli.load_checkpoint(str(out / "best"))["mask"].output_size == 129
+
+
+def test_train_builds_the_configured_filter(tmp_path, capsys, monkeypatch):
+    built = []
+    real_init = cli.KalmanAhs.__init__
+
+    def spy(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.filt.W.shape[-1])
+
+    monkeypatch.setattr(cli.KalmanAhs, "__init__", spy)
+    data = dict(TINY_TRAIN, fdkf={"num_taps": 5})
+    cfg = tmp_path / "taps.json"
+    cfg.write_text(json.dumps(data))
+    assert run("train", "--synthetic", "--config", cfg, "--out", tmp_path / "o") == EXIT_OK
+    capsys.readouterr()
+    assert len(built) == 2 and set(built) == {5}  # one training batch, one validation stack
+
+
+def test_train_where_every_scene_howls_reports_no_mean_loss(tmp_path, capsys):
+    # the configured detector fires on any output above 1e-6, so every scene
+    # aborts at once and no window ever completes
+    data = dict(TINY_TRAIN, detector={"amp_threshold": 1e-6, "run_length": 1})
+    cfg = tmp_path / "touchy.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--synthetic", "--config", cfg, "--out", out) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "no scene completed, 2 howl aborts" in printed and "nan" not in printed
+    events = [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()
+              if "scene" in line]
+    assert [e["howl_abort"] for e in events] == [True, True]
 
 
 def test_train_needs_a_speech_source(tmp_path, capsys):

@@ -180,6 +180,28 @@ def test_delay_line_matches_modular_index_reference():
         assert line._pos == pos
 
 
+def test_per_row_delay_line_matches_modular_index_reference():
+    # lines of 10, 7 and 4 samples in one buffer: each row is its own FIFO
+    rng = np.random.default_rng(6)
+    lengths = (10, 7, 4)
+    line = DelayLine(lengths, rows=3)
+    refs, pos = [np.zeros(n) for n in lengths], [0, 0, 0]
+    for count in (3, 4, 1, 2, 4, 4, 3, 1, 4, 2, 4, 3):
+        chunk = rng.standard_normal((3, count))
+        peeked = line.peek(count)
+        for r, n in enumerate(lengths):
+            idx = (pos[r] + np.arange(count)) % n
+            np.testing.assert_array_equal(peeked[r], refs[r][idx])
+            refs[r][idx] = chunk[r]
+            pos[r] = (pos[r] + count) % n
+        line.push(chunk)
+    with pytest.raises(ValueError, match="line length"):
+        line.peek(5)
+    line.keep([2, 0])
+    np.testing.assert_array_equal(line.peek(4), [refs[2][(pos[2] + np.arange(4)) % 4],
+                                                 refs[0][(pos[0] + np.arange(4)) % 10]])
+
+
 def test_detector_negative_excursions_count():
     first, _ = _howl_scan(np.full(120, -2.0), HowlDetectorConfig(), 0)
     assert first == 100
@@ -369,3 +391,56 @@ def test_detector_scans_rows_with_their_own_carry():
     assert carry.tolist() == [110, 29, 0, 50]
     first, carry = _howl_scan(np.full((2, 50), 0.5), det, np.array([99, 3]))
     assert first is None and carry == 0
+
+
+# ------------------------------------------------------------- scene stacks
+
+
+def stack_of_scenes():
+    """Three scenes with their own source, loop path, gain, delay and clip."""
+    room = replace(ROOM, max_rir_len=600)
+    return [LoopScene(noise_signal(0.5, seed, peak=0.3),
+                      Rir(generate_rir(replace(room, seed=seed, jitter=2.0)).taps * coupling, FS),
+                      gain=gain, delay=delay, sat=sat, seed=seed)
+            for seed, coupling, gain, delay, sat in
+            ((1, 0.2, 0.5, 0.02, 1.0), (2, 0.3, 3.0, 0.03, 0.8), (3, 0.25, 2.0, 0.025, 1.0))]
+
+
+def test_stack_rows_equal_solo_runs_bitwise():
+    scenes = stack_of_scenes()
+    rows = run_scene(scenes, IdentityAhs())
+    assert len({row.howl_event for row in rows}) == 3
+    for row, scene in zip(rows, scenes):
+        solo = run_scene(scene, IdentityAhs())
+        assert (row.gain, row.delay_samples, row.seed, row.howl_event) == \
+            (solo.gain, solo.delay_samples, solo.seed, solo.howl_event)
+        for name in ("s", "y", "s_hat", "x", "d"):
+            assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+def test_stack_keeps_rows_bitwise_after_a_cut():
+    scenes = stack_of_scenes()
+    engine = ClosedLoop(scenes, IdentityAhs())
+    for _ in range(30):
+        engine.step_frame()
+    engine.keep([2, 0])
+    while engine.frames_done < engine.total_frames:
+        engine.step_frame()
+    kept = engine.result()
+    for row, scene in zip(kept, (scenes[2], scenes[0])):
+        solo = run_scene(scene, IdentityAhs())
+        for name in ("s", "y", "s_hat", "x", "d"):
+            assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+def test_stack_validation():
+    scenes = stack_of_scenes()
+    with pytest.raises(ValueError, match="scalar-gain"):
+        ClosedLoop([replace(scenes[0], gain=(1.0, 2.0))], IdentityAhs())
+    with pytest.raises(ValueError, match="scalar-gain"):
+        ClosedLoop([], IdentityAhs())
+    short = replace(scenes[1], near_end=noise_signal(0.25, 2))
+    with pytest.raises(ValueError, match="equally long"):
+        ClosedLoop([scenes[0], short], IdentityAhs())
+    with pytest.raises(ValueError, match="frame_size"):
+        ClosedLoop(scenes, IdentityAhs(), frame_size=401)

@@ -12,10 +12,12 @@ from howlkit.loop import ClosedLoop, LoopScene
 from howlkit.nets import make_mask_net
 from howlkit.rooms import Rir
 from howlkit.signals import StftConfig, StreamingStft, TimeSignal, stft
-from howlkit.training import (AdamOptimizer, SceneSampler, SgdOptimizer,
-                              TrainConfig, build_ahs, load_checkpoint, make_default_nets,
-                              save_checkpoint, synth_speech, train,
-                              train_scene)
+from howlkit.metrics import sdr
+from howlkit.loop import run_scene
+from howlkit.training import (AdamOptimizer, SceneSampler, SgdOptimizer, TrainConfig,
+                              TrainEvent, _average_grads, _train_batch, _validate,
+                              build_ahs, load_checkpoint, make_default_nets,
+                              save_checkpoint, synth_speech, train, train_scene)
 
 FS = 16000
 HOP = StftConfig().hop
@@ -397,6 +399,119 @@ def test_tiny_overfit_halves_loss():
         last = event.loss
         windows += -(-event.frames // cfg.t_bptt)  # ceil(frames/t_bptt)
     assert last < 0.5 * first, f"loss {first} -> {last}"
+
+
+# ---------------------------------------------------------------------------
+# the stacked batch: one row per scene, each bitwise its solo run
+
+
+class RecordingOptimizer:
+    """Records each step's gradients and leaves the weights alone, so a
+    batch and solo runs of its scenes see the same weights throughout."""
+
+    def __init__(self):
+        self.steps = []
+
+    def step(self, params, grads):
+        self.steps.append(grads)
+
+
+def stack_scene(seed, gain, delay, duration=0.5, offset=0.0):
+    """quick_scene with a loop path of its own: three seeded taps, DC gain
+    2.5; ``offset`` adds a DC level to the near end."""
+    rng = np.random.default_rng([seed, 1])
+    taps = np.zeros(256)
+    taps[0] = 1.0
+    taps[rng.choice(np.arange(1, 256), 2, replace=False)] = rng.uniform(0.2, 0.6, 2)
+    taps *= 2.5 / taps.sum()
+    near = offset + 0.25 * np.random.default_rng(seed).standard_normal(int(duration * FS))
+    return LoopScene(TimeSignal(near, FS), Rir(taps, FS), gain=gain, delay=delay, seed=seed)
+
+
+def solo_reference(nets, scene, cfg):
+    """One scene trained by hand on the scalar (1-D) suppressor and loop.
+
+    Returns its window gradients, in order, and its TrainEvent fields; the
+    weights are never updated.
+    """
+    ahs = build_ahs(nets, scene)
+    engine = ClosedLoop(scene, ahs, frame_size=HOP)
+    target_stft = StreamingStft(ahs.cfg)
+    mags, losses, windows = [], [], []
+    howled = False
+    ahs.begin_window()
+    while engine.frames_done < engine.total_frames and not howled:
+        t = engine.frames_done * HOP
+        howled = engine.step_frame()
+        mags.append(np.abs(target_stft.push(engine.s[t:t + HOP])))
+        done = engine.frames_done == engine.total_frames
+        if not howled and (ahs.window_frames == cfg.t_bptt or done):
+            count = ahs.window_frames
+            loss, grads = ahs.end_window(np.array(mags[-count:]))
+            losses.append(loss)
+            windows.append(grads)
+            if not done:
+                ahs.begin_window()
+    return windows, dict(frames=engine.frames_done,
+                         loss=float(np.mean(losses)) if losses else 0.0,
+                         howl_abort=howled, howl_sample=engine.howl_event, nan_events=0,
+                         clamp_events=ahs.filt.clamp_count)
+
+
+def assert_batch_matches_solo_runs(scenes, cfg):
+    nets = small_nets()
+    opt = RecordingOptimizer()
+    ids = [f"s{i}" for i in range(len(scenes))]
+    events = _train_batch(nets, scenes, cfg, opt, epoch=0, scene_ids=ids)
+    solos = [solo_reference(nets, scene, cfg) for scene in scenes]
+    for sid, event, (_, fields) in zip(ids, events, solos):
+        assert event == TrainEvent(epoch=0, scene_id=sid, **fields)
+    assert len(opt.steps) == max(len(windows) for windows, _ in solos)
+    for w, step in enumerate(opt.steps):
+        expect = _average_grads([windows[w] for windows, _ in solos if w < len(windows)])
+        assert sorted(step) == sorted(expect) == ["dd", "mask", "vv"]
+        for name in expect:
+            for key, g in expect[name].items():
+                assert step[name][key].tobytes() == g.tobytes(), (w, name, key)
+    return events
+
+
+def test_stacked_batch_grads_equal_the_average_of_solo_window_grads():
+    # distinct gains, delays and loop paths: one lfilter and one delay per row
+    scenes = [stack_scene(seed, gain, delay) for seed, gain, delay in
+              ((1, 0.8, 0.16), (2, 1.0, 0.2), (3, 1.4, 0.18), (4, 1.2, 0.22))]
+    events = assert_batch_matches_solo_runs(scenes, TrainConfig(duration=0.5))
+    assert not any(e.howl_abort for e in events)
+
+
+def test_howling_row_drops_out_mid_window(monkeypatch):
+    # the G=3 row hears the raw microphone (as in the abort-guard test) and
+    # its near end carries a DC level, so it latches one delay in and leaves
+    # the stack mid-window; the rows left keep running bitwise as alone, and
+    # its last window contributes nothing
+    real_call = KalmanAhs.__call__
+
+    def call(self, y_chunk):
+        out = real_call(self, y_chunk)
+        return np.where(np.asarray(self.gain) == 3.0, y_chunk, out)
+
+    monkeypatch.setattr(KalmanAhs, "__call__", call)
+    cfg = TrainConfig(duration=0.5)
+    scenes = [stack_scene(5, 1.2, 0.17), stack_scene(6, 3.0, 0.16, offset=0.3),
+              stack_scene(7, 1.0, 0.21)]
+    events = assert_batch_matches_solo_runs(scenes, cfg)
+    assert [e.howl_abort for e in events] == [False, True, False]
+    assert cfg.t_bptt < events[1].frames < events[0].frames
+    assert events[1].frames % cfg.t_bptt != 0
+
+
+def test_validation_stack_equals_the_solo_loop():
+    nets = small_nets()
+    scenes = SceneSampler(seed=3, split="test", duration=0.5).scenes(3, gain=2.0)
+    cfg = TrainConfig(duration=0.5)
+    solo = [run_scene(scene, build_ahs(nets, scene)) for scene in scenes]
+    expect = float(np.mean([sdr(res.s, res.s_hat_aligned()) for res in solo]))
+    assert _validate(nets, scenes, cfg) == expect
 
 
 # ---------------------------------------------------------------------------
