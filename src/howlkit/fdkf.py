@@ -56,7 +56,11 @@ class FdkfConfig:
 
 @dataclass(frozen=True)
 class CovariancePair:
-    """Per-frame noise covariances: psi_vv per bin, psi_dd per bin and tap."""
+    """Per-frame noise covariances: psi_vv per bin, psi_dd per bin and tap.
+
+    A non-finite value raises ArithmeticError (a numeric failure; the CLI
+    exits 4), a negative one ValueError.
+    """
 
     psi_vv: np.ndarray
     psi_dd: np.ndarray
@@ -67,7 +71,7 @@ class CovariancePair:
             if arr.size == 0 or (arr.min() >= 0 and arr.max() < np.inf):
                 continue
             if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+                raise ArithmeticError(f"{name} must be finite")
             raise ValueError(f"{name} must be nonnegative")
 
 

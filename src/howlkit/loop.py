@@ -246,10 +246,12 @@ class ClosedLoop:
 
     ``scene`` may also be a gain sweep or a stack: a list of scalar-gain
     scenes of equal length, one per row, each with its own target, gain,
-    delay, clip and feedback path.  Then every stream is (B, n) (a sweep
-    shares a 1-D ``s``), ``howl_event`` is a list with one entry per row,
-    and ``ahs`` maps (B, frame_size) frames to (B, frame_size) frames.
-    Each row is bitwise the run its scalar scene gives.
+    delay, clip and feedback path.  Then every stream is (B, n) but ``s``:
+    a sweep shares one 1-D target, and a stack's ``s`` lists views of its
+    scenes' own targets.  ``s_frame`` holds the target samples of the frame
+    last stepped.  ``howl_event`` is a list with one entry per row, and
+    ``ahs`` maps (B, frame_size) frames to (B, frame_size) frames.  Each row
+    is bitwise the run its scalar scene gives.
     """
 
     def __init__(self, scene, ahs, det: Optional[HowlDetectorConfig] = None,
@@ -285,9 +287,10 @@ class ClosedLoop:
         self.ahs = ahs
         self.det = det
         self.frame_size = frame_size
+        self._stack = stack
         if stack:
-            self.s = np.stack([t[:n] for t in targets])
-            self.s.setflags(write=False)
+            # per-row views of the scenes' own read-only targets, not a copy
+            self.s = [t[:n] for t in targets]
             self._gain = np.array([[sc.gain] for sc in scenes])
             self._sat = np.array([[sc.sat] for sc in scenes])
             self._line = DelayLine([sc.delay_samples for sc in scenes], rows)
@@ -304,13 +307,14 @@ class ClosedLoop:
         self.x = np.zeros(lead + (n,))
         self.d = np.zeros(lead + (n,))
         self.howl_event = None if rows is None else [None] * rows
+        self.s_frame = None  # target samples of the frame last stepped
         self._frame_shape = lead + (frame_size,)
         self._carry = 0
         self._t = 0
 
     @property
     def total_frames(self) -> int:
-        return self.s.shape[-1] // self.frame_size
+        return self.y.shape[-1] // self.frame_size
 
     @property
     def frames_done(self) -> int:
@@ -325,9 +329,8 @@ class ClosedLoop:
         rows = np.asarray(rows, dtype=np.intp)
         self.rows = len(rows)
         self._row_scenes = [self._row_scenes[i] for i in rows]
-        if self.s.ndim == 2:
-            self.s = self.s[rows]
-            self.s.setflags(write=False)
+        if self._stack:
+            self.s = [self.s[i] for i in rows]
         self.y, self.s_hat, self.x, self.d = (a[rows] for a in (self.y, self.s_hat, self.x, self.d))
         self.howl_event = [self.howl_event[i] for i in rows]
         self._gain = self._gain[rows]
@@ -349,7 +352,8 @@ class ClosedLoop:
         t = self._t
         sl = slice(t, t + self.frame_size)
         self.d[..., sl] = self._conv.process(self._line.peek(self.frame_size))
-        self.y[..., sl] = self.s[..., sl] + self.d[..., sl]
+        self.s_frame = np.stack([s[sl] for s in self.s]) if self._stack else self.s[sl]
+        self.y[..., sl] = self.s_frame + self.d[..., sl]
         out = np.asarray(self.ahs(self.y[..., sl]), dtype=np.float64)
         if out.shape != self._frame_shape:
             raise ValueError("suppressor returned a frame of the wrong length")
@@ -377,7 +381,7 @@ class ClosedLoop:
         if self.rows is None:
             return self._result(self.s, self.y, self.s_hat, self.x, self.d, self.howl_event,
                                 self.scene)
-        return tuple(self._result(self.s if self.s.ndim == 1 else self.s[i], self.y[i],
+        return tuple(self._result(self.s[i] if self._stack else self.s, self.y[i],
                                   self.s_hat[i], self.x[i], self.d[i], self.howl_event[i], sc)
                      for i, sc in enumerate(self._row_scenes))
 

@@ -8,6 +8,13 @@ deterministic and fast at the cost of some high-frequency accuracy.
 Generated responses are normalized to unit peak amplitude so that the
 loudspeaker-to-microphone path combined with amplification gains in [1, 3]
 can actually drive the simulated loop unstable.
+
+Rounded arrivals also leave most taps zero: a 1024-tap feedback path has
+~300-600 nonzero taps.  Every FIR here (streaming, batch and the batch
+peak) runs one kernel: a precomputed sparse Toeplitz matrix of the nonzero
+taps, applied with one scipy CSR product per block of 64 samples, which
+reproduces ``scipy.signal.lfilter``'s output bit for bit (signed zeros
+aside; see StreamingConvolver).
 """
 
 from dataclasses import dataclass
@@ -15,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
-from scipy.signal import lfilter
+from scipy.sparse import csr_matrix
 
 SPEED_OF_SOUND = 343.0
 
@@ -149,73 +156,158 @@ def generate_rir(spec: RoomSpec) -> Rir:
     return Rir(taps / peak, fs)
 
 
-class StreamingConvolver:
-    """Chunk-by-chunk direct-form FIR convolution with carried state.
+# samples per kernel product: the loop's default hop
+_BLOCK = 64
 
-    Output is computed with scipy's direct-form transposed filter and the
-    filter state carried across calls, so any chunking of the input yields
-    bit-identical output to one batch call on the concatenated signal.
+
+def _kernel(parts, width: int) -> csr_matrix:
+    """Sparse Toeplitz rows over a vector of ``width`` samples.
+
+    ``parts`` is a list of (taps, ends) pairs.  Each end gives one row, in
+    order, that sums ``taps[k] * v[end - k]`` over the nonzero taps only,
+    highest ``k`` first, so the columns of a row ascend.
+    """
+    # filled in place: concatenated pieces of a near path's kernel are
+    # megabytes of temporaries, which stay resident once freed
+    parts = [(taps, np.asarray(ends, np.int32), np.flatnonzero(taps)[::-1].astype(np.int32))
+             for taps, ends in parts]
+    counts = np.concatenate([np.full(len(ends), len(k)) for _, ends, k in parts])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    data, cols = np.empty(indptr[-1]), np.empty(indptr[-1], np.int32)
+    lo = 0
+    for taps, ends, k in parts:
+        hi = lo + len(ends) * len(k)
+        data[lo:hi].reshape(len(ends), len(k))[:] = taps[k]
+        np.subtract(ends[:, None], k, out=cols[lo:hi].reshape(len(ends), len(k)))
+        lo = hi
+    return csr_matrix((data, cols, indptr), shape=(len(indptr) - 1, width))
+
+
+def _stream_rows(taps, start: int, m: int):
+    """Kernel rows of one stream whose window [m inputs, block] begins at
+    column ``start``: the block's outputs, then the sum of its inputs, which
+    is finite only when they all are."""
+    end = start + m + _BLOCK - 1
+    return [(taps, end - _BLOCK + 1 + np.arange(_BLOCK)), (np.ones(_BLOCK), np.array([end]))]
+
+
+class StreamingConvolver:
+    """Chunk-by-chunk FIR convolution with carried state.
+
+    Each block of up to 64 samples is one product of a precomputed sparse
+    Toeplitz kernel with the window [last ``len(taps) - 1`` inputs, block].
+    A kernel row holds only the path's nonzero taps, highest tap first, and
+    scipy's CSR product sums each output from +0.0 in that order, with no
+    fused multiply-add.  That is the sequence of IEEE operations of
+    ``scipy.signal.lfilter(taps, [1.0, 0.0], x, zi=...)`` (transposed direct
+    form) without its ``0*x`` and ``0*y`` terms, so the output is that
+    filter's, bit for bit, and any chunking of the input gives the bits of
+    one batch call.  Two edge cases: from the first sample whose input or
+    output is not finite, lfilter's state is NaN, so that sample is
+    ``Z0 + taps[0]*x`` and every later output NaN, here too.  And an exact
+    zero output is always +0.0 here, where lfilter can give -0.0: only when
+    every product in the window is -0.0 and none of the last
+    ``len(taps) - 1`` outputs has its sign bit set, as now and then when
+    every input is -0.0.  In a closed loop that takes ``len(taps)``
+    loudspeaker samples of -0.0 in a row, as at gain 0 with a suppressor
+    output that stays negative.
+
     With ``rows`` it filters that many independent streams, given as
-    (rows, n) chunks, in one call; each row is bitwise its solo stream.
-    Given a list of Rirs, one per row, it runs one solo convolver per row.
+    (rows, n) chunks, through the one path in one multi-column product.
+    Given a list of Rirs, one per row, it runs one block-diagonal kernel.
+    Each row is bitwise its solo stream.
     """
 
     def __init__(self, rir, rows: Optional[int] = None):
         self.rir = rir
-        self._rows = None
-        if not isinstance(rir, Rir):
-            self._rows = [StreamingConvolver(path) for path in rir]
-            return
-        m = len(rir.taps) - 1
-        self._state = np.zeros(m if rows is None else (rows, m)) if m else None
+        self._paths = None if isinstance(rir, Rir) else list(rir)
+        self._m = max(len(p.taps) for p in self._paths or [rir]) - 1
+        self._dead = None  # per-row flags, once a row has met a non-finite sample
+        if self._paths is None:
+            # time runs down the window, one column per row
+            width = self._m + _BLOCK
+            self._win = np.zeros(width if rows is None else (width, rows))
+            self._kernel = _kernel(_stream_rows(rir.taps, 0, self._m), width)
+        else:
+            self._win = np.zeros((len(self._paths), self._m + _BLOCK))
+            self._stack_kernel()
+
+    def _stack_kernel(self):
+        width = self._win.shape[-1]
+        parts = [row for b, p in enumerate(self._paths)
+                 for row in _stream_rows(p.taps, b * width, self._m)]
+        self._kernel = _kernel(parts, self._win.size)
 
     def keep(self, rows):
         """Continue with only these rows, in this order."""
-        if self._rows is not None:
-            self._rows = [self._rows[i] for i in rows]
-        elif self._state is not None:
-            self._state = self._state[rows]
+        if self._dead is not None:
+            self._dead = self._dead[rows]
+        if self._paths is None:
+            self._win = self._win[:, rows]
+        else:
+            self._paths = [self._paths[i] for i in rows]
+            self._win = self._win[rows]
+            self._stack_kernel()
 
     def process(self, chunk: np.ndarray) -> np.ndarray:
-        chunk = np.asarray(chunk, dtype=np.float64)
-        if self._rows is not None:
-            out = np.empty_like(chunk)
-            for i, conv in enumerate(self._rows):
-                out[i] = conv.process(chunk[i])
-            return out
-        if chunk.size == 0:
-            return chunk.copy()
-        if self._state is None:
-            return self.rir.taps[0] * chunk
-        # a=[1, 0] forces the stateful direct-form C path (a scalar denominator
-        # takes an np.convolve shortcut whose summation order depends on the
-        # chunking, which would break bit-exact streaming/batch equality).
-        out, self._state = lfilter(self.rir.taps, [1.0, 0.0], chunk, zi=self._state)
+        return self._run(np.asarray(chunk, dtype=np.float64))
+
+    def _run(self, chunk):
+        n = chunk.shape[-1]
+        if n <= _BLOCK:
+            return self._block(chunk)
+        out = np.empty(chunk.shape)
+        for lo in range(0, n, _BLOCK):
+            out[..., lo:lo + _BLOCK] = self._block(chunk[..., lo:lo + _BLOCK])
         return out
+
+    def _block(self, chunk):
+        n, m, win = chunk.shape[-1], self._m, self._win
+        if self._paths is None:
+            win[m:m + n] = chunk.T
+            res = self._kernel @ win
+            win[:m] = win[n:n + m]
+            out = res[:n].T
+        else:
+            win[:, m:m + n] = chunk
+            res = (self._kernel @ win.ravel()).reshape(len(win), -1)
+            win[:, :m] = win[:, n:n + m]
+            out = res[:, :n]
+        if self._dead is not None or not np.isfinite(res).all():
+            self._poison(np.atleast_2d(chunk), np.atleast_2d(out))
+        return out
+
+    def _poison(self, xs, ys):
+        """lfilter's output from each row's first non-finite input or output on."""
+        dead = np.zeros(len(ys), bool) if self._dead is None else self._dead
+        ys[dead] = np.nan
+        bad = ~(np.isfinite(xs) & np.isfinite(ys))
+        for r in np.flatnonzero(bad.any(axis=1) & ~dead):
+            i = bad[r].argmax()
+            b0 = (self.rir if self._paths is None else self._paths[r]).taps[0]
+            if b0 == 0:  # not in the kernel, but lfilter adds 0 * x
+                with np.errstate(invalid="ignore"):
+                    ys[r, i] += b0 * xs[r, i]
+            ys[r, i + 1:] = np.nan
+            dead[r] = True
+        self._dead = dead
 
 
 def convolve_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Direct batch convolution truncated to len(x); the batch reference
-    for StreamingConvolver (same filter kernel, zero initial state)."""
+    """Batch convolution truncated to len(x): StreamingConvolver's kernel run
+    block by block from a zero state."""
     x = np.asarray(x, dtype=np.float64)
-    if len(taps) == 1:
-        return taps[0] * x
-    return _direct_form(x, np.asarray(taps, dtype=np.float64))
-
-
-def _direct_form(x, taps):
-    return lfilter(taps, [1.0, 0.0], x)
+    return StreamingConvolver(Rir(taps, 1))._run(x)
 
 
 def convolve_batch_peak(x: np.ndarray, taps: np.ndarray) -> float:
     """``max |convolve_batch(x, taps)|``, bit for bit, for a fraction of its cost.
 
     An FFT convolution finds the samples that can hold the peak.  It and the
-    direct form each sit within ~1e-13 ||x|| ||taps|| of the exact sums, far
+    kernel each sit within ~1e-13 ||x|| ||taps|| of the exact sums, far
     inside ``tol``, so the peak sample's FFT value is within ``2 tol`` of the
-    FFT maximum.  Only those samples are recomputed with the direct form,
-    each restarted from zero state ``len(taps) - 1`` samples early, which
-    repeats the full run's arithmetic for that sample.
+    FFT maximum.  Only those samples are recomputed, each as one kernel row,
+    which repeats the full run's arithmetic for that sample.
     """
     x = np.asarray(x, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64)
@@ -230,11 +322,9 @@ def convolve_batch_peak(x: np.ndarray, taps: np.ndarray) -> float:
     cand = np.flatnonzero(approx >= np.max(approx) - 2.0 * tol)
     if not np.isfinite(tol) or len(cand) * m > n // 4:
         return float(np.max(np.abs(convolve_batch(x, taps))))
-    peak = 0.0
-    for c in cand:
-        lo = max(0, c - (m - 1))
-        peak = max(peak, abs(_direct_form(x[lo: c + 1], taps)[-1]))
-    return float(peak)
+    # m - 1 leading zeros stand for the zero state before the first sample
+    padded = np.concatenate((np.zeros(m - 1), x))
+    return float(np.max(np.abs(_kernel([(taps, cand + m - 1)], len(padded)) @ padded)))
 
 
 def save_rir(path: str, rir: Rir):

@@ -478,9 +478,8 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
     if engine.total_frames:
         ahs.begin_window()
     while live and engine.frames_done < engine.total_frames:
-        t = engine.frames_done * hop
         engine.step_frame()
-        window.append(np.abs(target_stft.push(engine.s[:, t:t + hop])))
+        window.append(np.abs(target_stft.push(engine.s_frame)))
         howled = [row for row, at in enumerate(engine.howl_event) if at is not None]
         if howled:
             # a diverging suppressor must not contribute a weight update: its

@@ -8,6 +8,7 @@ no code or structure with the package implementations they check.
 import math
 
 import numpy as np
+from scipy.signal import lfilter
 
 
 def scalar_lstm_forward(params, hidden_sizes, output_size, activation, xs):
@@ -113,3 +114,20 @@ def dense_kalman_run(Y, X, L, psi_vv, psi_dd, A, alpha, p_init):
         P = A * A * P_post + Q
         w_traj[k] = w
     return w_traj
+
+
+def lfilter_stream(taps, chunks):
+    """FIR filtering chunk by chunk with scipy's transposed direct form.
+
+    Each chunk runs through ``lfilter(taps, [1.0, 0.0], chunk, zi=zi)`` with
+    the state carried over; ``a = [1, 0]`` keeps lfilter on its stateful C
+    loop even for one tap.  Returns the concatenated output.
+    """
+    taps = np.asarray(taps, dtype=np.float64)
+    zi = np.zeros(max(len(taps), 2) - 1)
+    outs = [np.zeros(0)]
+    for chunk in chunks:
+        if len(chunk):
+            y, zi = lfilter(taps, [1.0, 0.0], np.asarray(chunk, dtype=np.float64), zi=zi)
+            outs.append(y)
+    return np.concatenate(outs)

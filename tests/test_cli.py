@@ -11,6 +11,7 @@ import pytest
 import howlkit.cli as cli
 from howlkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from howlkit.config import RunConfig
+from howlkit.training import save_checkpoint
 from howlkit.wavio import read_wav, write_wav
 
 
@@ -176,6 +177,16 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert run("suppress", "--synthetic", "--out", tmp_path / "o",
                "--duration", 1.0) == EXIT_NUMERIC
     assert "numeric" in capsys.readouterr().err
+
+
+def test_non_finite_covariance_is_a_numeric_failure(tmp_path, capsys):
+    nets = RunConfig().nets()
+    nets["vv"].params["b_out"][:] = np.inf  # the vv net now outputs inf
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(nets, str(ckpt))
+    assert run("suppress", "--synthetic", "--out", tmp_path / "o", "--variant", "neuralkalman",
+               "--checkpoint", ckpt, "--duration", 0.5) == EXIT_NUMERIC
+    assert "psi_vv must be finite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- rir

@@ -248,15 +248,16 @@ def test_frame_shape_errors():
 def test_negative_covariance_input_rejected():
     with pytest.raises(ValueError, match="psi_vv must be nonnegative"):
         CovariancePair(np.array([-1.0]), np.zeros((1, 1)))
+    # a non-finite covariance is a numeric failure, not a bad input value
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="psi_vv must be finite"):
+        with pytest.raises(ArithmeticError, match="psi_vv must be finite"):
             CovariancePair(np.array([0.5, bad]), np.zeros((1, 1)))
-        with pytest.raises(ValueError, match="psi_dd must be finite"):
+        with pytest.raises(ArithmeticError, match="psi_dd must be finite"):
             CovariancePair(np.array([0.5]), np.array([[0.1, bad]]))
     with pytest.raises(ValueError, match="psi_dd must be nonnegative"):
         CovariancePair(np.array([0.5]), np.array([[0.1, -1e-12]]))
     # a non-finite value wins over a negative one, as before
-    with pytest.raises(ValueError, match="psi_vv must be finite"):
+    with pytest.raises(ArithmeticError, match="psi_vv must be finite"):
         CovariancePair(np.array([-1.0, np.nan]), np.zeros((1, 1)))
     CovariancePair(np.zeros(0), np.zeros((0, 1)))
     CovariancePair(np.array([0.0, -0.0, 1e300]), np.zeros((1, 1)))

@@ -433,6 +433,20 @@ def test_stack_keeps_rows_bitwise_after_a_cut():
             assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), name
 
 
+def test_stack_rows_share_their_scenes_targets():
+    scenes = stack_of_scenes()
+    for row, scene in zip(run_scene(scenes, IdentityAhs()), scenes):
+        assert np.shares_memory(row.s, scene.target())
+    engine = ClosedLoop(scenes, IdentityAhs())
+    engine.step_frame()
+    engine.keep([2, 0])
+    engine.step_frame()
+    assert engine.s_frame.tobytes() == np.stack([scenes[2].target()[64:128],
+                                                 scenes[0].target()[64:128]]).tobytes()
+    for row, scene in zip(engine.result(), (scenes[2], scenes[0])):
+        assert np.shares_memory(row.s, scene.target())
+
+
 def test_stack_validation():
     scenes = stack_of_scenes()
     with pytest.raises(ValueError, match="scalar-gain"):

@@ -16,6 +16,8 @@ from howlkit.rooms import (
     save_rir,
 )
 
+from oracles import lfilter_stream
+
 ROOM = dict(dimensions=(5.0, 4.0, 3.0), source_pos=(1.0, 1.0, 1.5), mic_pos=(3.5, 2.5, 1.5))
 
 
@@ -147,6 +149,107 @@ def test_streaming_chunking_invariance_property(seed):
         pieces.append(conv.process(x[i : i + step]))
         i += step
     np.testing.assert_array_equal(np.concatenate(pieces), batch)
+
+
+@st.composite
+def fir_taps(draw):
+    """At least one nonzero tap: dense or sparse, with or without leading
+    zeros, or a single tap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.one_of(st.just(1), st.integers(2, 300)))
+    density = draw(st.sampled_from([1.0, 0.3, 0.03]))
+    taps = np.where(rng.random(m) < density, rng.standard_normal(m), 0.0)
+    taps[:draw(st.integers(0, 4))] = 0.0
+    taps[draw(st.integers(0, m - 1))] = rng.standard_normal()
+    return taps
+
+
+def split_at(x, data):
+    """x cut along its last axis at drawn points (empty pieces included)."""
+    n = x.shape[-1]
+    return np.split(x, sorted(data.draw(st.lists(st.integers(0, n), max_size=8))), axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fir_taps(), st.integers(0, 600), st.data())
+def test_streaming_equals_lfilter_bitwise(taps, n, data):
+    x = np.random.default_rng(n).standard_normal(n)
+    pieces = split_at(x, data)
+    conv = StreamingConvolver(Rir(taps, 16000))
+    got = np.concatenate([conv.process(p) for p in pieces])
+    assert got.tobytes() == lfilter_stream(taps, pieces).tobytes()
+    assert convolve_batch(x, taps).tobytes() == lfilter_stream(taps, [x]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(fir_taps(), min_size=1, max_size=4), st.booleans(), st.integers(1, 400),
+       st.data())
+def test_row_streams_equal_lfilter_bitwise_before_and_after_keep(paths, shared, n, data):
+    """Sweep rows (one shared path) and stack rows (one path each)."""
+    rows = len(paths)
+    if shared:
+        paths = [paths[0]] * rows
+        conv = StreamingConvolver(Rir(paths[0], 16000), rows)
+    else:
+        conv = StreamingConvolver([Rir(t, 16000) for t in paths])
+    x = np.random.default_rng(n).standard_normal((rows, n))
+    cut = data.draw(st.integers(0, n))
+    kept = data.draw(st.permutations(range(rows)))[:data.draw(st.integers(1, rows))]
+    head = np.concatenate([conv.process(p) for p in split_at(x[:, :cut], data)], axis=1)
+    conv.keep(kept)
+    tail = np.concatenate([conv.process(p) for p in split_at(x[kept, cut:], data)], axis=1)
+    for r in range(rows):
+        assert head[r].tobytes() == lfilter_stream(paths[r], [x[r, :cut]]).tobytes()
+    for i, r in enumerate(kept):
+        assert tail[i].tobytes() == lfilter_stream(paths[r], [x[r]])[cut:].tobytes()
+
+
+def test_non_finite_input_poisons_every_later_output_like_lfilter():
+    rng = np.random.default_rng(7)
+    # the second cut puts the bad sample last in a full 64-sample block
+    for at, cuts in ((130, [50, 128, 131, 200]), (127, [64, 128, 192])):
+        for taps in ([0.0, 0.5, 0.0, -0.2], [0.7, 0.0, 0.3], [0.5], [0.0, 0.0, 1.0]):
+            for bad in (np.nan, np.inf, -np.inf):
+                x = rng.standard_normal(300)
+                x[at] = bad
+                pieces = np.split(x, cuts)
+                conv = StreamingConvolver(Rir(np.array(taps), 16000))
+                got = np.concatenate([conv.process(p) for p in pieces])
+                want = lfilter_stream(taps, pieces)
+                assert np.isnan(want[at + 1:]).all() and np.isfinite(want[:at]).all()
+                assert np.array_equal(got, want, equal_nan=True)
+    # so does an output that overflows
+    x = np.ones(200)
+    x[60] = 1e308
+    got = StreamingConvolver(Rir(np.array([2.0, 1.0]), 16000)).process(x)
+    want = lfilter_stream([2.0, 1.0], [x])
+    assert np.isinf(want[60]) and np.isnan(want[61:]).all()
+    assert np.array_equal(got, want, equal_nan=True)
+    # only the row that met the NaN dies, and it stays dead after a cut
+    paths = [rng.standard_normal(20), rng.standard_normal(9), rng.standard_normal(33)]
+    x = rng.standard_normal((3, 200))
+    x[1, 70] = np.nan
+    for conv, taps in ((StreamingConvolver(Rir(paths[0], 16000), 3), [paths[0]] * 3),
+                       (StreamingConvolver([Rir(t, 16000) for t in paths]), paths)):
+        head = conv.process(x[:, :100])
+        conv.keep([1, 2])
+        tail = conv.process(x[[1, 2], 100:])
+        for r in range(3):
+            assert np.array_equal(head[r], lfilter_stream(taps[r], [x[r, :100]]), equal_nan=True)
+        for i, r in enumerate([1, 2]):
+            want = lfilter_stream(taps[r], [x[r]])[100:]
+            assert np.array_equal(tail[i], want, equal_nan=True)
+            assert np.isnan(want).all() == (r == 1)
+
+
+def test_exact_zero_outputs_are_positive_where_lfilter_can_give_negative_zero():
+    taps = np.array([1.0, 0.5])
+    x = np.full(6, -0.0)
+    want = lfilter_stream(taps, [x])
+    got = StreamingConvolver(Rir(taps, 16000)).process(x)
+    assert np.signbit(want).tolist() == [False, True, False, True, False, True]
+    assert not np.signbit(got).any()
+    np.testing.assert_array_equal(got, want)
 
 
 def test_rir_save_load_roundtrip(tmp_path):
