@@ -40,13 +40,12 @@ class KalmanAhs:
     (default) feeds it to prediction, gain and update alike; "predict_only"
     keeps the raw loudspeaker reference for gain and update.
 
-    A tuple ``gain`` builds a multi-row processor: one independent stream
-    per gain, called with (B, hop) chunks and returning (B, hop) chunks, as
-    a gain sweep or a stack of scenes hands them over (``delay_samples`` and
-    ``sat`` may then give one value per row).  Every array it keeps and
-    records carries the leading row axis, every reduction runs over the
-    last axis, and each row is bitwise the processor it would be alone,
-    training windows included.
+    Tuples of ``gain``, ``delay_samples`` and ``sat``, one value per row,
+    build a multi-row processor: one independent stream per row, called
+    with (B, hop) chunks and returning (B, hop) chunks, as a stack of
+    scenes hands them over.  Every array it keeps and records carries the
+    leading row axis, every reduction runs over the last axis, and each row
+    is bitwise the processor it would be alone, training windows included.
     """
 
     def __init__(self, gain, delay_samples, sat=1.0, stft_cfg=None, fdkf_cfg=None,
@@ -64,7 +63,7 @@ class KalmanAhs:
             raise ValueError("gain must be nonnegative: one value or a nonempty tuple")
         rows = None if gains.ndim == 0 else len(gains)
         for name, value in (("delay_samples", delay_samples), ("sat", sat)):
-            if np.ndim(value) and (rows is None or len(value) != rows):
+            if np.ndim(value) != gains.ndim or (rows is not None and len(value) != rows):
                 raise ValueError(f"{name} gives one value per row of a tuple gain")
         if np.min(delay_samples) < stft_cfg.hop:
             raise ValueError("loop delay must be at least one hop for the reference mirror")
@@ -76,11 +75,13 @@ class KalmanAhs:
         self.cfg = stft_cfg
         self.fcfg = fdkf_cfg
         self.rows = rows
-        # (B, 1) with rows, so it scales each row's (hop,) chunk
-        self.gain = float(gain) if rows is None else gains[:, None]
-        self.delay_samples = (int(delay_samples) if np.ndim(delay_samples) == 0
-                              else tuple(int(d) for d in delay_samples))
-        self.sat = float(sat) if np.ndim(sat) == 0 else np.array(sat, dtype=np.float64)[:, None]
+        # (B, 1) with rows, so they act on each row's (hop,) chunk
+        if rows is None:
+            self.gain, self.delay_samples, self.sat = float(gain), int(delay_samples), float(sat)
+        else:
+            self.gain = gains[:, None]
+            self.delay_samples = tuple(int(d) for d in delay_samples)
+            self.sat = np.array(sat, dtype=np.float64)[:, None]
         self.mask_net = mask_net
         self.vv_net = vv_net
         self.dd_net = dd_net
@@ -92,7 +93,7 @@ class KalmanAhs:
         self._stft_y = StreamingStft(stft_cfg, rows)
         self._stft_x = StreamingStft(stft_cfg, rows)
         self._istft = StreamingIstft(stft_cfg, rows)
-        self._mirror = DelayLine(self.delay_samples, rows)
+        self._mirror = DelayLine(self.delay_samples)
         self._x_prev = np.zeros(self.filt.X_hist.shape[:-1], dtype=np.complex128)
         # separate reference history only when the learned reference is kept
         # out of the gain/update equations
@@ -104,12 +105,11 @@ class KalmanAhs:
         self._dd_state = dd_net.init_state(rows) if dd_net is not None else None
         self._classical = ClassicalCovariances(fdkf_cfg, rows) if vv_net is None else None
         self._tape = None
-        self.frames_seen = 0
 
     @classmethod
     def for_scene(cls, scene, **kwargs):
         """Build a processor matched to a loop scene's gain/delay/clip, or
-        to each scene of a list of scalar-gain scenes, one row each."""
+        to each scene of a stack, one row each."""
         if isinstance(scene, (list, tuple)):
             return cls(tuple(sc.gain for sc in scene), tuple(sc.delay_samples for sc in scene),
                        sat=tuple(sc.sat for sc in scene), **kwargs)
@@ -120,10 +120,8 @@ class KalmanAhs:
         order; an open window keeps their part of the tape."""
         self.rows = len(rows)
         self.gain = self.gain[rows]
-        if np.ndim(self.sat):
-            self.sat = self.sat[rows]
-        if isinstance(self.delay_samples, tuple):
-            self.delay_samples = tuple(self.delay_samples[i] for i in rows)
+        self.sat = self.sat[rows]
+        self.delay_samples = tuple(self.delay_samples[i] for i in rows)
         for part in (self.filt, self._stft_y, self._stft_x, self._istft, self._mirror,
                      self._classical):
             if part is not None:
@@ -142,7 +140,7 @@ class KalmanAhs:
         """One hop in, one hop out, mirroring the loudspeaker internally."""
         x_chunk = self._mirror.peek(self.cfg.hop)
         out = self.step_open(chunk, x_chunk)
-        self._mirror.push(np.clip(self.gain * out, -self.sat, self.sat))
+        self._mirror.push(np.minimum(np.maximum(self.gain * out, -self.sat), self.sat))
         return out
 
     def step_open(self, y_chunk, x_chunk):
@@ -202,7 +200,6 @@ class KalmanAhs:
                 "pos": filt.P > 0,
             })
         self._x_prev = x_raw
-        self.frames_seen += 1
         return s_hat
 
     # ------------------------------------------------------------- training
@@ -211,10 +208,6 @@ class KalmanAhs:
         if self._tape is not None:
             raise RuntimeError("a window is already recording")
         self._tape = []
-
-    def abort_window(self):
-        """Drop the recorded window without computing anything."""
-        self._tape = None
 
     @property
     def window_frames(self):

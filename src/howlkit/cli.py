@@ -26,7 +26,7 @@ from .ahs import KalmanAhs
 from .config import RunConfig
 from .loop import IdentityAhs, run_scene, save_scene_result
 from .metrics import evaluate, spectrogram_pgm
-from .rooms import RoomSpec, generate_rir, sabine_min_rt60, save_rir
+from .rooms import RoomSpec, generate_rir, sabine_min_rt60
 from .signals import ConfigError, TimeSignal
 from .training import load_checkpoint, train
 from .wavio import read_wav, write_wav
@@ -262,7 +262,7 @@ def cmd_rir(args) -> None:
         spec = RoomSpec(tuple(dims), tuple(src), tuple(mic), rt60, sample_rate=fs)
         rir = generate_rir(spec)
         fname = f"rir{i:03d}.wav"
-        save_rir(os.path.join(out, fname), rir)
+        write_wav(os.path.join(out, fname), rir.taps, rir.sample_rate, fmt="float32")
         rows.append({
             "file": fname,
             "dimensions": [round(v, 4) for v in dims],

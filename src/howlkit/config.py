@@ -20,7 +20,7 @@ Sections:
 
 import copy
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from .fdkf import FdkfConfig
 from .loop import HowlDetectorConfig
@@ -136,13 +136,9 @@ class RunConfig:
     def sampler(self, split: str, duration: float = None, seed: int = None,
                 utterances=None) -> SceneSampler:
         """Scene sampler over the trainer's ranges, keyed by the master seed."""
-        t = self.trainer()
-        return SceneSampler(
-            seed=self.seed if seed is None else seed, split=split,
-            duration=t.duration if duration is None else duration,
-            sample_rate=self.stft().sample_rate, utterances=utterances,
-            gain_range=t.gain_range, delay_range=t.delay_range,
-            rt60_range=t.rt60_range, coupling_range=t.coupling_range)
+        trainer = replace(self.trainer(), seed=self.seed if seed is None else seed)
+        return SceneSampler.from_config(trainer, split, utterances=utterances, duration=duration,
+                                        sample_rate=self.stft().sample_rate)
 
     def nets(self, seed: int = None) -> dict:
         neural = self.data["neural"]

@@ -13,7 +13,7 @@ signal finite so runs can always be scored.
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -46,14 +46,13 @@ class LoopScene:
     source is reverberated through it to form the target signal s(t).
     ``seed`` is provenance metadata only; the loop itself draws no randomness.
 
-    A tuple ``gain`` makes the scene a gain sweep: one run per gain, all
-    advanced in lockstep, with every per-hop array carrying a leading row
-    axis (row i runs at ``gain[i]``).  A scalar gain keeps 1-D streams.
+    ``gain`` is one number.  A gain sweep is a stack of copies,
+    ``[replace(scene, gain=g) for g in gains]``, which share one target.
     """
 
     near_end: TimeSignal
     feedback_rir: Rir
-    gain: float  # or a tuple of gains, for a sweep
+    gain: float
     delay: float
     near_rir: Optional[Rir] = None
     sat: float = 1.0
@@ -64,11 +63,9 @@ class LoopScene:
                                            kw_only=True)
 
     def __post_init__(self):
-        if isinstance(self.gain, tuple):
-            if not self.gain:
-                raise ValueError("a gain sweep needs at least one gain")
-            object.__setattr__(self, "gain", tuple(float(g) for g in self.gain))
-        if np.any(np.asarray(self.gain) < 0):
+        if np.ndim(self.gain):
+            raise ValueError("gain must be one number; sweep gains with a list of scene copies")
+        if self.gain < 0:
             raise ValueError("gain must be nonnegative")
         if self.sat <= 0:
             raise ValueError("sat must be positive")
@@ -81,11 +78,6 @@ class LoopScene:
         slot = self._target_slot
         if slot is None or slot[0] is not self.near_end or slot[1] is not self.near_rir:
             object.__setattr__(self, "_target_slot", [self.near_end, self.near_rir, None])
-
-    @property
-    def rows(self) -> Optional[int]:
-        """Number of runs in a gain sweep; None for a scalar gain."""
-        return len(self.gain) if isinstance(self.gain, tuple) else None
 
     @property
     def sample_rate(self) -> int:
@@ -147,8 +139,8 @@ class SceneResult:
 
 
 class IdentityAhs:
-    """Pass-through suppressor: returns the microphone frame (or, in a gain
-    sweep, one frame per row) unchanged."""
+    """Pass-through suppressor: returns the microphone frame (or, in a
+    stack, one frame per row) unchanged."""
 
     latency = 0
 
@@ -188,16 +180,16 @@ def _howl_scan(samples: np.ndarray, det: HowlDetectorConfig, carry):
 class DelayLine:
     """Fixed-occupancy FIFO: peek the oldest samples, then push replacements.
 
-    With ``rows`` it holds that many independent lines, advanced together
-    with (rows, count) chunks.  ``length`` may then give one length per
-    row: the lines share a buffer as long as the longest, written at one
-    position, and a shorter line reads that many samples nearer to it.
+    Given a list of lengths, one per row, it holds that many independent
+    lines, advanced together with (rows, count) chunks.  The lines share a
+    buffer as long as the longest, written at one position, and a shorter
+    line reads that many samples nearer to it.
     """
 
-    def __init__(self, length, rows: Optional[int] = None):
+    def __init__(self, length):
         lengths = np.asarray(length, dtype=np.intp)
         size = int(lengths.max())
-        self._buf = np.zeros(size if rows is None else (rows, size))
+        self._buf = np.zeros(lengths.shape + (size,))
         self._pos = 0
         # per-row read offsets, or None when every row has the full length
         skip = (size - lengths).reshape(-1, 1)
@@ -244,34 +236,31 @@ class ClosedLoop:
     frame is handed over before its own output can reach the microphone.
     Trailing samples that do not fill a whole frame are dropped.
 
-    ``scene`` may also be a gain sweep or a stack: a list of scalar-gain
-    scenes of equal length, one per row, each with its own target, gain,
-    delay, clip and feedback path.  Then every stream is (B, n) but ``s``:
-    a sweep shares one 1-D target, and a stack's ``s`` lists views of its
-    scenes' own targets.  ``s_frame`` holds the target samples of the frame
-    last stepped.  ``howl_event`` is a list with one entry per row, and
-    ``ahs`` maps (B, frame_size) frames to (B, frame_size) frames.  Each row
-    is bitwise the run its scalar scene gives.
+    ``scene`` may also be a stack: a list of scenes of equal length, one per
+    row, each with its own target, gain, delay, clip and feedback path (a
+    gain sweep is a stack of gain copies of one scene).  Then every stream
+    is (B, n) but ``s``, which lists views of the scenes' own targets.
+    ``s_frame`` holds the target samples of the frame last stepped.
+    ``howl_event`` is a list with one entry per row, and ``ahs`` maps
+    (B, frame_size) frames to (B, frame_size) frames.  Each row is bitwise
+    the run its scene gives alone.
     """
 
     def __init__(self, scene, ahs, det: Optional[HowlDetectorConfig] = None,
                  duration: Optional[float] = None, frame_size: int = 64):
         det = det if det is not None else HowlDetectorConfig()
-        stack = not isinstance(scene, LoopScene)
-        if stack:
-            scenes = list(scene)
-            if not scenes or any(sc.rows is not None for sc in scenes):
-                raise ValueError("a scene stack is a nonempty list of scalar-gain scenes")
-            targets = [sc.target() for sc in scenes]
-            if len({len(t) for t in targets}) > 1:
-                raise ValueError("the scenes of a stack must be equally long")
-            if len({sc.sample_rate for sc in scenes}) > 1:
-                raise ValueError("the scenes of a stack must share one sample rate")
-            rows = len(scenes)
+        if isinstance(scene, LoopScene):
+            rows, scenes = None, [scene]
         else:
-            rows = scene.rows
-            scenes = [scene] if rows is None else [replace(scene, gain=g) for g in scene.gain]
-            targets = [scene.target()]
+            scenes = list(scene)
+            if not scenes:
+                raise ValueError("a scene stack is a nonempty list of scenes")
+            rows = len(scenes)
+        targets = [sc.target() for sc in scenes]
+        if len({len(t) for t in targets}) > 1:
+            raise ValueError("the scenes of a stack must be equally long")
+        if len({sc.sample_rate for sc in scenes}) > 1:
+            raise ValueError("the scenes of a stack must share one sample rate")
         fs = scenes[0].sample_rate
         n = len(targets[0]) if duration is None else int(round(duration * fs))
         if n > len(targets[0]):
@@ -287,27 +276,24 @@ class ClosedLoop:
         self.ahs = ahs
         self.det = det
         self.frame_size = frame_size
-        self._stack = stack
-        if stack:
+        if rows is None:
+            self.s = targets[0][:n]
+            self._gain, self._sat = scene.gain, scene.sat
+            self._line = DelayLine(scene.delay_samples)
+            self._conv = StreamingConvolver(scene.feedback_rir)
+        else:
             # per-row views of the scenes' own read-only targets, not a copy
             self.s = [t[:n] for t in targets]
             self._gain = np.array([[sc.gain] for sc in scenes])
             self._sat = np.array([[sc.sat] for sc in scenes])
-            self._line = DelayLine([sc.delay_samples for sc in scenes], rows)
+            self._line = DelayLine([sc.delay_samples for sc in scenes])
             self._conv = StreamingConvolver([sc.feedback_rir for sc in scenes])
-        else:
-            self.s = targets[0][:n]
-            self._gain = scene.gain if rows is None else np.array(scene.gain)[:, None]
-            self._sat = scene.sat
-            self._line = DelayLine(scene.delay_samples, rows)
-            self._conv = StreamingConvolver(scene.feedback_rir, rows)
         self._row_scenes = scenes
         self.y = np.zeros(lead + (n,))
         self.s_hat = np.zeros(lead + (n,))
         self.x = np.zeros(lead + (n,))
         self.d = np.zeros(lead + (n,))
         self.howl_event = None if rows is None else [None] * rows
-        self.s_frame = None  # target samples of the frame last stepped
         self._frame_shape = lead + (frame_size,)
         self._carry = 0
         self._t = 0
@@ -320,8 +306,22 @@ class ClosedLoop:
     def frames_done(self) -> int:
         return self._t // self.frame_size
 
+    @property
+    def s_frame(self):
+        """Target samples of the frame last stepped, (B, frame_size) for a
+        stack; None before the first step."""
+        if self._t == 0:
+            return None
+        sl = slice(self._t - self.frame_size, self._t)
+        if self.rows is None:
+            return self.s[sl]
+        frame = np.empty(self._frame_shape)
+        for row, s in enumerate(self.s):
+            frame[row] = s[sl]
+        return frame
+
     def keep(self, rows):
-        """Continue a sweep or stack with only these rows, in this order.
+        """Continue a stack with only these rows, in this order.
 
         The suppressor keeps the same rows (through its own ``keep``, when
         it has one), and ``result()`` then covers these rows alone.
@@ -329,13 +329,11 @@ class ClosedLoop:
         rows = np.asarray(rows, dtype=np.intp)
         self.rows = len(rows)
         self._row_scenes = [self._row_scenes[i] for i in rows]
-        if self._stack:
-            self.s = [self.s[i] for i in rows]
+        self.s = [self.s[i] for i in rows]
         self.y, self.s_hat, self.x, self.d = (a[rows] for a in (self.y, self.s_hat, self.x, self.d))
         self.howl_event = [self.howl_event[i] for i in rows]
         self._gain = self._gain[rows]
-        if np.ndim(self._sat):
-            self._sat = self._sat[rows]
+        self._sat = self._sat[rows]
         if np.ndim(self._carry):
             self._carry = self._carry[rows]
         self._frame_shape = (self.rows, self.frame_size)
@@ -346,19 +344,25 @@ class ClosedLoop:
 
     def step_frame(self) -> bool:
         """Advance one frame; returns True if howling fired within it (in
-        any row of a sweep or stack)."""
+        any row of a stack)."""
         if self.frames_done >= self.total_frames:
             raise RuntimeError("scene already fully processed")
         t = self._t
         sl = slice(t, t + self.frame_size)
-        self.d[..., sl] = self._conv.process(self._line.peek(self.frame_size))
-        self.s_frame = np.stack([s[sl] for s in self.s]) if self._stack else self.s[sl]
-        self.y[..., sl] = self.s_frame + self.d[..., sl]
+        d = self.d[..., sl]
+        d[...] = self._conv.process(self._line.peek(self.frame_size))
+        if self.rows is None:
+            self.y[sl] = self.s[sl] + d
+        else:
+            # row by row from the scenes' own targets: gathering them costs more
+            for row, s in enumerate(self.s):
+                np.add(s[sl], d[row], out=self.y[row, sl])
         out = np.asarray(self.ahs(self.y[..., sl]), dtype=np.float64)
         if out.shape != self._frame_shape:
             raise ValueError("suppressor returned a frame of the wrong length")
         self.s_hat[..., sl] = out
-        self.x[..., sl] = np.clip(self._gain * out, -self._sat, self._sat)
+        # np.clip's values for a clip above 0, without its wrapper's overhead
+        self.x[..., sl] = np.minimum(np.maximum(self._gain * out, -self._sat), self._sat)
         self._line.push(self.x[..., sl])
         hit, self._carry = _howl_scan(out, self.det, self._carry)
         if hit is not None:
@@ -375,14 +379,13 @@ class ClosedLoop:
     def result(self):
         """Streams processed so far, packaged (partial runs are truncated).
 
-        A gain sweep or stack gives a tuple with one SceneResult per row, in
-        order.
+        A stack gives a tuple with one SceneResult per row, in order.
         """
         if self.rows is None:
             return self._result(self.s, self.y, self.s_hat, self.x, self.d, self.howl_event,
                                 self.scene)
-        return tuple(self._result(self.s[i] if self._stack else self.s, self.y[i],
-                                  self.s_hat[i], self.x[i], self.d[i], self.howl_event[i], sc)
+        return tuple(self._result(self.s[i], self.y[i], self.s_hat[i], self.x[i], self.d[i],
+                                  self.howl_event[i], sc)
                      for i, sc in enumerate(self._row_scenes))
 
     def _result(self, s, y, s_hat, x, d, howl_event, scene) -> SceneResult:
@@ -405,8 +408,7 @@ def run_scene(scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
     Divergence never raises: the loudspeaker clip bounds every stream, and a
     sustained loud suppressor output is reported through the result's
     ``howl_event`` (the run always completes full length).  Returns a
-    SceneResult, or for a gain sweep or a stack of scenes a tuple of them,
-    one per row.
+    SceneResult, or for a stack of scenes a tuple of them, one per row.
     """
     engine = ClosedLoop(scene, ahs, det=det, duration=duration, frame_size=frame_size)
     for _ in range(engine.total_frames):

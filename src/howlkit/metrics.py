@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .loop import HowlDetectorConfig, LoopScene, run_scene
+from .loop import HowlDetectorConfig, run_scene
 from .signals import StftConfig, TimeSignal, stft
 
 SDR_CAP_DB = 60.0
@@ -160,14 +160,14 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _sweep_rows(sweep, variant_name, factory, scene_id, ref, det, stft_cfg):
-    """One EvalRow per gain of one sweep run, in gain order.
+def _sweep_rows(stack, variant_name, factory, scene_id, ref, det, stft_cfg):
+    """One EvalRow per gain copy of one scene, in gain order.
 
-    The run's streams die with this call, so one sweep is alive at a time.
+    The run's streams die with this call, so one stack is alive at a time.
     ``ref`` caches the scene's target log spectrum across its runs.
     """
     rows = []
-    for res in run_scene(sweep, factory(sweep), det=det):
+    for res in run_scene(stack, factory(stack), det=det):
         if "db" not in ref:
             ref["db"] = _log_spectrum(res.s, stft_cfg)
         s_hat = res.s_hat_aligned()
@@ -188,12 +188,12 @@ def evaluate(scenes, variants, gains=(1.5, 2.0, 2.5, 3.0), det: HowlDetectorConf
 
     ``variants`` maps name -> factory(scene) -> suppressor callback; a fresh
     suppressor is built per run so filter state never leaks between scenes.
-    ``scenes`` are templates whose gain field is overridden by the sweep:
-    each factory is called once per (variant, scene) with a gain-sweep copy
-    (``gain`` is the tuple of all gains) and must return a suppressor that
-    maps (B, hop) frames to (B, hop) frames; all gains then run in lockstep.
-    Each row is bitwise the scalar-gain run's, for IdentityAhs and for
-    KalmanAhs with or without nets.  The copies share
+    ``scenes`` are templates whose gain field is overridden: each factory is
+    called once per (variant, scene) with a stack, the list of
+    ``len(gains)`` copies ``replace(scene, gain=g)``, and must return a
+    suppressor that maps (B, hop) frames to (B, hop) frames; all gains then
+    run in lockstep.  Each row is bitwise the scalar-gain run's, for
+    IdentityAhs and for KalmanAhs with or without nets.  The copies share
     each template's target, so it is reverberated once per scene, and its
     log spectrum is taken once.  Rows come in a fixed order: variant name,
     then gain, then scene.
@@ -204,10 +204,10 @@ def evaluate(scenes, variants, gains=(1.5, 2.0, 2.5, 3.0), det: HowlDetectorConf
     names = sorted(variants)
     table = {}
     for sid, scene in enumerate(scenes):
-        sweep = replace(scene, gain=gains)
+        stack = [replace(scene, gain=g) for g in gains]
         ref = {}
         for name in names:
-            swept = _sweep_rows(sweep, name, variants[name], sid, ref, det, stft_cfg)
+            swept = _sweep_rows(stack, name, variants[name], sid, ref, det, stft_cfg)
             for gi, row in enumerate(swept):
                 table[name, gi, sid] = row
     rows = [table[name, gi, sid] for name in names for gi in range(len(gains))

@@ -18,7 +18,6 @@ aside; see StreamingConvolver).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -212,25 +211,19 @@ class StreamingConvolver:
     loudspeaker samples of -0.0 in a row, as at gain 0 with a suppressor
     output that stays negative.
 
-    With ``rows`` it filters that many independent streams, given as
-    (rows, n) chunks, through the one path in one multi-column product.
-    Given a list of Rirs, one per row, it runs one block-diagonal kernel.
-    Each row is bitwise its solo stream.
+    Given a list of Rirs, one per row, it filters that many streams, as
+    (rows, n) chunks, through one block-diagonal kernel; a single Rir is a
+    one-row stack that takes and returns 1-D chunks.  Each row is bitwise
+    its solo stream.
     """
 
-    def __init__(self, rir, rows: Optional[int] = None):
-        self.rir = rir
-        self._paths = None if isinstance(rir, Rir) else list(rir)
-        self._m = max(len(p.taps) for p in self._paths or [rir]) - 1
+    def __init__(self, rir):
+        self._solo = isinstance(rir, Rir)
+        self._paths = [rir] if self._solo else list(rir)
+        self._m = max(len(p.taps) for p in self._paths) - 1
         self._dead = None  # per-row flags, once a row has met a non-finite sample
-        if self._paths is None:
-            # time runs down the window, one column per row
-            width = self._m + _BLOCK
-            self._win = np.zeros(width if rows is None else (width, rows))
-            self._kernel = _kernel(_stream_rows(rir.taps, 0, self._m), width)
-        else:
-            self._win = np.zeros((len(self._paths), self._m + _BLOCK))
-            self._stack_kernel()
+        self._win = np.zeros((len(self._paths), self._m + _BLOCK))
+        self._stack_kernel()
 
     def _stack_kernel(self):
         width = self._win.shape[-1]
@@ -242,12 +235,9 @@ class StreamingConvolver:
         """Continue with only these rows, in this order."""
         if self._dead is not None:
             self._dead = self._dead[rows]
-        if self._paths is None:
-            self._win = self._win[:, rows]
-        else:
-            self._paths = [self._paths[i] for i in rows]
-            self._win = self._win[rows]
-            self._stack_kernel()
+        self._paths = [self._paths[i] for i in rows]
+        self._win = self._win[rows]
+        self._stack_kernel()
 
     def process(self, chunk: np.ndarray) -> np.ndarray:
         return self._run(np.asarray(chunk, dtype=np.float64))
@@ -263,19 +253,13 @@ class StreamingConvolver:
 
     def _block(self, chunk):
         n, m, win = chunk.shape[-1], self._m, self._win
-        if self._paths is None:
-            win[m:m + n] = chunk.T
-            res = self._kernel @ win
-            win[:m] = win[n:n + m]
-            out = res[:n].T
-        else:
-            win[:, m:m + n] = chunk
-            res = (self._kernel @ win.ravel()).reshape(len(win), -1)
-            win[:, :m] = win[:, n:n + m]
-            out = res[:, :n]
+        win[:, m:m + n] = chunk
+        res = (self._kernel @ win.ravel()).reshape(len(win), -1)
+        win[:, :m] = win[:, n:n + m]
+        out = res[:, :n]
         if self._dead is not None or not np.isfinite(res).all():
-            self._poison(np.atleast_2d(chunk), np.atleast_2d(out))
-        return out
+            self._poison(np.atleast_2d(chunk), out)
+        return out[0] if self._solo else out
 
     def _poison(self, xs, ys):
         """lfilter's output from each row's first non-finite input or output on."""
@@ -284,7 +268,7 @@ class StreamingConvolver:
         bad = ~(np.isfinite(xs) & np.isfinite(ys))
         for r in np.flatnonzero(bad.any(axis=1) & ~dead):
             i = bad[r].argmax()
-            b0 = (self.rir if self._paths is None else self._paths[r]).taps[0]
+            b0 = self._paths[r].taps[0]
             if b0 == 0:  # not in the kernel, but lfilter adds 0 * x
                 with np.errstate(invalid="ignore"):
                     ys[r, i] += b0 * xs[r, i]
@@ -325,37 +309,3 @@ def convolve_batch_peak(x: np.ndarray, taps: np.ndarray) -> float:
     # m - 1 leading zeros stand for the zero state before the first sample
     padded = np.concatenate((np.zeros(m - 1), x))
     return float(np.max(np.abs(_kernel([(taps, cand + m - 1)], len(padded)) @ padded)))
-
-
-def save_rir(path: str, rir: Rir):
-    """Write taps as 32-bit float WAV (.wav) or raw float64 with header (.rir)."""
-    path = str(path)
-    if path.endswith(".wav"):
-        from .wavio import write_wav
-
-        write_wav(path, rir.taps, rir.sample_rate, fmt="float32")
-    else:
-        with open(path, "wb") as fh:
-            fh.write(b"HKRIR\x01")
-            fh.write(np.uint32(rir.sample_rate).tobytes())
-            fh.write(np.uint64(len(rir.taps)).tobytes())
-            fh.write(rir.taps.astype("<f8").tobytes())
-
-
-def load_rir(path: str) -> Rir:
-    path = str(path)
-    if path.endswith(".wav"):
-        from .wavio import read_wav
-
-        sig = read_wav(path)
-        return Rir(sig.samples, sig.sample_rate)
-    with open(path, "rb") as fh:
-        magic = fh.read(6)
-        if magic != b"HKRIR\x01":
-            raise ValueError(f"not a howlkit RIR file: bad magic {magic!r}")
-        fs = int(np.frombuffer(fh.read(4), dtype=np.uint32)[0])
-        n = int(np.frombuffer(fh.read(8), dtype=np.uint64)[0])
-        data = fh.read(8 * n)
-        if len(data) != 8 * n:
-            raise ValueError("truncated RIR file")
-        return Rir(np.frombuffer(data, dtype="<f8").copy(), fs)

@@ -185,9 +185,10 @@ def test_window_bookkeeping_errors():
     assert ahs.window_frames == 2
     with pytest.raises(ValueError, match="shape"):
         ahs.end_window(np.zeros((3, 9)))
+    snap = ahs.snapshot()
     ahs.begin_window()
     drive_chunks(ahs, random_chunks(1, 2), random_chunks(1, 3))
-    ahs.abort_window()
+    ahs.restore(snap)  # drops the open window
     assert ahs.window_frames == 0
     with pytest.raises(RuntimeError, match="no window"):
         ahs.end_window(np.zeros((1, 9)))
@@ -278,7 +279,6 @@ def _fd_gradient_check(ahs, net_names, T=6, step=1e-5, tol=1e-4, per_array=12):
     mags = np.abs(np.array([entry["s_hat"] for entry in ahs._tape]))
     assert np.min(mags) > 1e-6
     targets = mags + 0.25
-    ahs.abort_window()
 
     loss0, grads = _run_window(ahs, snap, ys, xs, targets, want_grads=True)
     assert np.isfinite(loss0)
@@ -344,25 +344,22 @@ def test_stop_grad_filter_blocks_recursion_paths():
 
 
 # ------------------------------------------------------------- gain sweeps
-# A tuple-gain scene runs every gain in lockstep through one processor; each
-# row must be the processor a scalar-gain scene would build.
+# A stack of gain copies of one scene runs every gain in lockstep through one
+# processor; each row must be the processor its scene would build alone.
 
 SLOW_FILTER = FdkfConfig(p_init=1e-3)  # adapts slowly enough to howl at high gain
 
 
-def sweep_and_solo(sweep, det=None, **kwargs):
+def sweep_and_solo(scene, gains, det=None, **kwargs):
+    sweep = [replace(scene, gain=g) for g in gains]
     rows = run_scene(sweep, KalmanAhs.for_scene(sweep, **kwargs), det=det)
-    solos = []
-    for gain in sweep.gain:
-        scene = replace(sweep, gain=gain)
-        solos.append(run_scene(scene, KalmanAhs.for_scene(scene, **kwargs), det=det))
+    solos = [run_scene(sc, KalmanAhs.for_scene(sc, **kwargs), det=det) for sc in sweep]
     return rows, solos
 
 
 def test_classical_sweep_rows_equal_solo_runs_bitwise():
-    sweep = LoopScene(speech_like(0.6, 3), scaled_room_rir(), gain=(0.0, 0.5, 1.0, 3.0, 8.0),
-                      delay=0.02)
-    rows, solos = sweep_and_solo(sweep, fdkf_cfg=SLOW_FILTER)
+    scene = LoopScene(speech_like(0.6, 3), scaled_room_rir(), gain=1.0, delay=0.02)
+    rows, solos = sweep_and_solo(scene, (0.0, 0.5, 1.0, 3.0, 8.0), fdkf_cfg=SLOW_FILTER)
     onsets = [row.howl_event for row in rows]
     assert onsets[:2] == [None, None]
     assert None not in onsets[2:] and len(set(onsets[2:])) == 3
@@ -378,9 +375,8 @@ def test_neural_sweep_rows_agree_with_solo_runs():
     bins = StftConfig().num_bins
     nets = {"mask_net": make_mask_net(bins, hidden=(8,), seed=1),
             "vv_net": make_cov_vv_net(bins, seed=2), "dd_net": make_cov_dd_net(bins, seed=3)}
-    sweep = LoopScene(speech_like(0.5, 4), scaled_room_rir(), gain=(0.0, 1.5, 4.0),
-                      delay=0.02)
-    rows, solos = sweep_and_solo(sweep, **nets)
+    scene = LoopScene(speech_like(0.5, 4), scaled_room_rir(), gain=1.0, delay=0.02)
+    rows, solos = sweep_and_solo(scene, (0.0, 1.5, 4.0), **nets)
     for row, solo in zip(rows, solos):
         assert row.howl_event == solo.howl_event
         for name in ("y", "s_hat", "x", "d"):
@@ -389,14 +385,19 @@ def test_neural_sweep_rows_agree_with_solo_runs():
 
 def test_sweep_processor_validation():
     with pytest.raises(ValueError, match="gain"):
-        KalmanAhs((), 2400)
+        KalmanAhs((), ())
     with pytest.raises(ValueError, match="gain"):
-        KalmanAhs((1.0, -1.0), 2400)
+        KalmanAhs((1.0, -1.0), (2400, 2400), sat=(1.0, 1.0))
     with pytest.raises(ValueError, match="one value per row"):
-        KalmanAhs((1.0, 2.0), (2400, 2400, 2400))
+        KalmanAhs((1.0, 2.0), (2400, 2400, 2400), sat=(1.0, 1.0))
     with pytest.raises(ValueError, match="one value per row"):
         KalmanAhs(1.0, 2400, sat=(1.0, 1.0))
-    ahs = KalmanAhs((0.0, 2.0), 2400)
+    # a multi-row processor takes each row's delay and clip, never one for all
+    with pytest.raises(ValueError, match="delay_samples gives one value per row"):
+        KalmanAhs((1.0, 2.0), 2400, sat=(1.0, 1.0))
+    with pytest.raises(ValueError, match="sat gives one value per row"):
+        KalmanAhs((1.0, 2.0), (2400, 2400))
+    ahs = KalmanAhs((0.0, 2.0), (2400, 2400), sat=(1.0, 1.0))
     assert ahs.rows == 2 and ahs.gain.shape == (2, 1)
     # a multi-row processor records a window of its own per row
     ahs.begin_window()

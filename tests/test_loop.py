@@ -184,7 +184,7 @@ def test_per_row_delay_line_matches_modular_index_reference():
     # lines of 10, 7 and 4 samples in one buffer: each row is its own FIFO
     rng = np.random.default_rng(6)
     lengths = (10, 7, 4)
-    line = DelayLine(lengths, rows=3)
+    line = DelayLine(lengths)
     refs, pos = [np.zeros(n) for n in lengths], [0, 0, 0]
     for count in (3, 4, 1, 2, 4, 4, 3, 1, 4, 2, 4, 3):
         chunk = rng.standard_normal((3, count))
@@ -305,16 +305,20 @@ def test_save_scene_result_roundtrip(tmp_path):
 
 
 # ------------------------------------------------------------- gain sweeps
+# A gain sweep is a stack of gain copies of one scene.
+
+
+def sweep_of(scene, gains):
+    return [replace(scene, gain=g) for g in gains]
 
 
 def assert_rows_are_solo_runs(sweep, make_ahs=lambda scene: IdentityAhs(), det=None):
     """Each row of a lockstep sweep is bit for bit its own scalar-gain run."""
     rows = run_scene(sweep, make_ahs(sweep), det=det)
-    assert len(rows) == len(sweep.gain)
-    for row, gain in zip(rows, sweep.gain):
-        solo_scene = replace(sweep, gain=gain)
+    assert len(rows) == len(sweep)
+    for row, solo_scene in zip(rows, sweep):
         solo = run_scene(solo_scene, make_ahs(solo_scene), det=det)
-        assert row.gain == gain
+        assert row.gain == solo_scene.gain
         assert row.howl_event == solo.howl_event
         for name in ("s", "y", "s_hat", "x", "d"):
             assert getattr(row, name).tobytes() == getattr(solo, name).tobytes(), name
@@ -327,8 +331,8 @@ def coupled_rir(coupling=3.0):
 
 
 def test_sweep_rows_equal_solo_runs_bitwise():
-    sweep = LoopScene(noise_signal(0.6, 3, peak=0.3), coupled_rir(),
-                      gain=(0.0, 0.2, 1.0, 2.0, 3.0), delay=0.02)
+    sweep = sweep_of(LoopScene(noise_signal(0.6, 3, peak=0.3), coupled_rir(), gain=1.0,
+                               delay=0.02), (0.0, 0.2, 1.0, 2.0, 3.0))
     rows = run_scene(sweep, IdentityAhs())
     onsets = [row.howl_event for row in rows]
     # rows that never howl and rows that howl at distinct onsets
@@ -341,26 +345,31 @@ def test_sweep_rows_equal_solo_runs_bitwise():
 
 
 def test_sweep_frame_by_frame_howl_flags():
-    sweep = LoopScene(noise_signal(0.6, 3, peak=0.3), coupled_rir(), gain=(0.2, 3.0),
-                      delay=0.02)
+    sweep = sweep_of(LoopScene(noise_signal(0.6, 3, peak=0.3), coupled_rir(), gain=1.0,
+                               delay=0.02), (0.2, 3.0))
     engine = ClosedLoop(sweep, IdentityAhs())
     fired = [engine.step_frame() for _ in range(engine.total_frames)]
     quiet, loud = engine.result()
     assert quiet.howl_event is None and loud.howl_event is not None
     assert fired.index(True) == loud.howl_event // engine.frame_size
+    for row, scene in zip((quiet, loud), sweep):
+        solo = run_scene(scene, IdentityAhs())
+        assert row.howl_event == solo.howl_event
+        assert row.s_hat.tobytes() == solo.s_hat.tobytes()
 
 
 @pytest.mark.parametrize("sat", [1e-9, 1e-3, 1e6])
 def test_sweep_extreme_saturation_rows_equal_solo_runs(sat):
-    sweep = LoopScene(noise_signal(0.3, 4), coupled_rir(), gain=(0.0, 1.0, 4.0), delay=0.02,
-                      sat=sat)
+    sweep = sweep_of(LoopScene(noise_signal(0.3, 4), coupled_rir(), gain=1.0, delay=0.02,
+                               sat=sat), (0.0, 1.0, 4.0))
     for row in assert_rows_are_solo_runs(sweep):
         assert np.max(np.abs(row.x)) <= sat
 
 
 def test_sweep_silent_near_end_stays_silent():
     silent = TimeSignal(np.zeros(int(0.2 * FS)), FS)
-    sweep = LoopScene(silent, generate_rir(ROOM), gain=(0.0, 2.0, 50.0), delay=0.02)
+    sweep = sweep_of(LoopScene(silent, generate_rir(ROOM), gain=1.0, delay=0.02),
+                     (0.0, 2.0, 50.0))
     for row in assert_rows_are_solo_runs(sweep):
         assert row.howl_event is None
         for name in ("y", "s_hat", "x", "d"):
@@ -369,15 +378,20 @@ def test_sweep_silent_near_end_stays_silent():
 
 def test_sweep_gain_validation():
     sig, rir = noise_signal(0.1, 0), Rir(np.array([1.0]), FS)
-    with pytest.raises(ValueError, match="at least one gain"):
-        LoopScene(sig, rir, gain=(), delay=0.01)
     with pytest.raises(ValueError, match="nonnegative"):
-        LoopScene(sig, rir, gain=(1.0, -0.5), delay=0.01)
-    sweep = LoopScene(sig, rir, gain=(1, 2.5), delay=0.01)
-    assert sweep.gain == (1.0, 2.5) and sweep.rows == 2
-    assert LoopScene(sig, rir, gain=1.0, delay=0.01).rows is None
+        LoopScene(sig, rir, gain=-0.5, delay=0.01)
+    sweep = sweep_of(LoopScene(sig, rir, gain=1.0, delay=0.01), (1, 2.5))
     with pytest.raises(ValueError, match="wrong length"):
         run_scene(sweep, lambda frame: frame[0])
+
+
+def test_tuple_gain_is_rejected():
+    sig, rir = noise_signal(0.1, 0), Rir(np.array([1.0]), FS)
+    for gain in ((), (1.0,), (1.0, 2.5), [1.0, 2.0], np.array([1.0])):
+        with pytest.raises(ValueError, match="one number"):
+            LoopScene(sig, rir, gain=gain, delay=0.01)
+    with pytest.raises(ValueError, match="one number"):
+        replace(LoopScene(sig, rir, gain=1.0, delay=0.01), gain=(1.0, 2.0))
 
 
 def test_detector_scans_rows_with_their_own_carry():
@@ -449,9 +463,7 @@ def test_stack_rows_share_their_scenes_targets():
 
 def test_stack_validation():
     scenes = stack_of_scenes()
-    with pytest.raises(ValueError, match="scalar-gain"):
-        ClosedLoop([replace(scenes[0], gain=(1.0, 2.0))], IdentityAhs())
-    with pytest.raises(ValueError, match="scalar-gain"):
+    with pytest.raises(ValueError, match="nonempty"):
         ClosedLoop([], IdentityAhs())
     short = replace(scenes[1], near_end=noise_signal(0.25, 2))
     with pytest.raises(ValueError, match="equally long"):

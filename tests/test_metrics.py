@@ -285,16 +285,38 @@ def test_evaluate_rows_equal_scalar_runs():
     calls = []
 
     def kalman(scene):
-        calls.append(scene.gain)
+        calls.append(tuple(sc.gain for sc in scene) if isinstance(scene, list) else scene.gain)
         return KalmanAhs.for_scene(scene)
 
     variants = {"none": lambda scene: IdentityAhs(), "kalman": kalman}
     report = evaluate(scenes, variants, gains=gains)
-    # one lockstep sweep per (variant, scene), whatever the template's gain
+    # one lockstep stack of gain copies per (variant, scene), whatever the
+    # template's gain
     assert calls == [gains, gains]
     reference = reference_evaluate(scenes, variants, gains)
     assert list(report.rows) == reference
     assert {r.howled for r in reference if r.variant == "none"} == {False, True}
+
+
+def test_evaluate_hands_each_factory_a_stack_of_gain_copies():
+    near = Rir(np.array([1.0, 0.0, 0.3]), FS)
+    scenes = [replace(quick_scene(seed=i), near_rir=near) for i in range(2)]
+    gains = (0.0, 1.5, 2.5)
+    seen = []
+
+    def factory(stack):
+        seen.append(stack)
+        return IdentityAhs()
+
+    evaluate(scenes, {"a": factory, "b": factory}, gains=gains)
+    assert len(seen) == 2 * len(scenes)
+    for k, stack in enumerate(seen):
+        template = scenes[k // 2]
+        assert isinstance(stack, list) and len(stack) == len(gains)
+        assert [scene.gain for scene in stack] == list(gains)
+        for scene in stack:
+            assert replace(scene, gain=template.gain) == template
+            assert np.shares_memory(scene.target(), template.target())
 
 
 def test_evaluate_neural_rows_agree_with_scalar_runs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import howlkit.cli as cli
 from howlkit.rooms import (
     Rir,
     RoomSpec,
@@ -12,9 +13,8 @@ from howlkit.rooms import (
     convolve_batch,
     convolve_batch_peak,
     generate_rir,
-    load_rir,
-    save_rir,
 )
+from howlkit.wavio import read_wav
 
 from oracles import lfilter_stream
 
@@ -185,13 +185,11 @@ def test_streaming_equals_lfilter_bitwise(taps, n, data):
 @given(st.lists(fir_taps(), min_size=1, max_size=4), st.booleans(), st.integers(1, 400),
        st.data())
 def test_row_streams_equal_lfilter_bitwise_before_and_after_keep(paths, shared, n, data):
-    """Sweep rows (one shared path) and stack rows (one path each)."""
+    """Stack rows, each with its own path or all sharing one (a gain sweep)."""
     rows = len(paths)
     if shared:
         paths = [paths[0]] * rows
-        conv = StreamingConvolver(Rir(paths[0], 16000), rows)
-    else:
-        conv = StreamingConvolver([Rir(t, 16000) for t in paths])
+    conv = StreamingConvolver([Rir(t, 16000) for t in paths])
     x = np.random.default_rng(n).standard_normal((rows, n))
     cut = data.draw(st.integers(0, n))
     kept = data.draw(st.permutations(range(rows)))[:data.draw(st.integers(1, rows))]
@@ -229,8 +227,8 @@ def test_non_finite_input_poisons_every_later_output_like_lfilter():
     paths = [rng.standard_normal(20), rng.standard_normal(9), rng.standard_normal(33)]
     x = rng.standard_normal((3, 200))
     x[1, 70] = np.nan
-    for conv, taps in ((StreamingConvolver(Rir(paths[0], 16000), 3), [paths[0]] * 3),
-                       (StreamingConvolver([Rir(t, 16000) for t in paths]), paths)):
+    for taps in ([paths[0]] * 3, paths):
+        conv = StreamingConvolver([Rir(t, 16000) for t in taps])
         head = conv.process(x[:, :100])
         conv.keep([1, 2])
         tail = conv.process(x[[1, 2], 100:])
@@ -252,21 +250,19 @@ def test_exact_zero_outputs_are_positive_where_lfilter_can_give_negative_zero():
     np.testing.assert_array_equal(got, want)
 
 
-def test_rir_save_load_roundtrip(tmp_path):
-    rir = generate_rir(RoomSpec(**ROOM, rt60=0.2, max_rir_len=800))
-    raw = tmp_path / "path.rir"
-    save_rir(raw, rir)
-    back = load_rir(raw)
-    np.testing.assert_array_equal(back.taps, rir.taps)
-    assert back.sample_rate == rir.sample_rate
+def test_rir_save_load_roundtrip(tmp_path, monkeypatch, capsys):
+    # `howlkit rir` writes each path as a float32 WAV that read_wav returns
+    made = []
 
-    wav = tmp_path / "path.wav"
-    save_rir(wav, rir)
-    back_wav = load_rir(wav)
-    assert back_wav.sample_rate == rir.sample_rate
-    np.testing.assert_allclose(back_wav.taps, rir.taps, atol=1e-7)  # float32 storage
+    def recording(spec):
+        made.append(generate_rir(spec))
+        return made[-1]
 
-    with pytest.raises(ValueError, match="magic"):
-        bad = tmp_path / "bad.rir"
-        bad.write_bytes(b"NOTRIR" + b"\x00" * 16)
-        load_rir(bad)
+    monkeypatch.setattr(cli, "generate_rir", recording)
+    assert cli.main(["rir", "--out", str(tmp_path), "--count", "2", "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert len(made) == 2
+    for i, rir in enumerate(made):
+        back = read_wav(tmp_path / f"rir{i:03d}.wav")
+        assert back.sample_rate == rir.sample_rate
+        assert back.samples.tobytes() == rir.taps.astype(np.float32).astype(np.float64).tobytes()
