@@ -256,13 +256,13 @@ class KalmanAhs:
         everywhere = self._ref_hist is None
 
         rows = self.rows
-        grads = {}
+        attached = [(name, net, key) for name, net, key in (
+            ("mask", self.mask_net, "mcache"), ("vv", self.vv_net, "vcache"),
+            ("dd", self.dd_net, "dcache")) if net is not None]
+        gate_grads = {name: [] for name, _, _ in attached}  # per frame, last frame first
         if self.mask_net is not None:
-            grads["mask"] = self.mask_net.zero_grads(rows)
             mask_sadj = self.mask_net.init_state(rows)
         if self.vv_net is not None:
-            grads["vv"] = self.vv_net.zero_grads(rows)
-            grads["dd"] = self.dd_net.zero_grads(rows)
             vv_sadj = self.vv_net.init_state(rows)
             dd_sadj = self.dd_net.init_state(rows)
 
@@ -318,10 +318,12 @@ class KalmanAhs:
 
             # covariance source
             if self.vv_net is not None:
-                dmag, vv_sadj = self.vv_net.step_back(e["vcache"], gvv, vv_sadj, grads["vv"])
+                dmag, vv_sadj = self.vv_net.step_back(e["vcache"], gvv, vv_sadj,
+                                                      gate_grads["vv"])
                 gS = gS + dmag * unit
                 g_ddout = np.sum(gdd, axis=-1) / taps
-                drss, dd_sadj = self.dd_net.step_back(e["dcache"], g_ddout, dd_sadj, grads["dd"])
+                drss, dd_sadj = self.dd_net.step_back(e["dcache"], g_ddout, dd_sadj,
+                                                      gate_grads["dd"])
                 rss = e["rss"]
                 gW_new += (np.where(rss > 0, drss / np.maximum(rss, 1e-300), 0.0))[..., None] * W
             else:
@@ -342,10 +344,12 @@ class KalmanAhs:
 
             if self.mask_net is not None:
                 gm = (gref * np.conj(e["y"])).real
-                _, mask_sadj = self.mask_net.step_back(e["mcache"], gm, mask_sadj, grads["mask"])
+                _, mask_sadj = self.mask_net.step_back(e["mcache"], gm, mask_sadj,
+                                                       gate_grads["mask"])
 
             gW, gP = gW_new, gP_new
-        return grads
+        return {name: net.window_grads([e[key] for e in tape], gate_grads[name])
+                for name, net, key in attached}
 
     # ----------------------------------------------------- state management
 

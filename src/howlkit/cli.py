@@ -56,16 +56,13 @@ def _effective_config(args) -> RunConfig:
 
 
 def _out_dir(args, cfg: RunConfig) -> str:
+    """Create the output directory and echo the effective config into it;
+    called once a subcommand's inputs are validated, so a refused run writes nothing."""
     out = args.out if args.out else cfg.paths()["out_dir"]
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _write_config_echo(cfg: RunConfig, out: str) -> str:
-    path = os.path.join(out, "config.json")
-    with open(path, "w") as f:
+    with open(os.path.join(out, "config.json"), "w") as f:
         f.write(cfg.to_json())
-    return path
+    return out
 
 
 def _load_nets(cfg: RunConfig, checkpoint: str):
@@ -118,10 +115,9 @@ def _check_finite(samples, what: str):
 def cmd_simulate(args) -> None:
     _check_count(args.count, "--count")
     cfg = _effective_config(args)
-    out = _out_dir(args, cfg)
-    _write_config_echo(cfg, out)
     duration = args.duration if args.duration is not None else cfg.loop_knobs()["duration"]
     sampler = cfg.sampler(args.split, duration=duration)
+    out = _out_dir(args, cfg)
     det = cfg.detector()
     rows = []
     for i in range(args.count):
@@ -151,8 +147,6 @@ def cmd_simulate(args) -> None:
 
 def cmd_suppress(args) -> None:
     cfg = _effective_config(args)
-    out = _out_dir(args, cfg)
-    _write_config_echo(cfg, out)
     checkpoint = args.checkpoint or cfg.paths()["checkpoint"]
     nets = None
     if args.variant == "neuralkalman":
@@ -162,16 +156,20 @@ def cmd_suppress(args) -> None:
         stop_grad_filter=args.stop_grad_filter)
 
     if args.in_path:
-        _suppress_wav(args, cfg, out, factory)
+        _suppress_wav(args, cfg, factory)
     else:
-        _suppress_scene(args, cfg, out, factory)
+        _suppress_scene(args, cfg, factory)
 
 
-def _suppress_wav(args, cfg: RunConfig, out: str, factory) -> None:
+def _suppress_wav(args, cfg: RunConfig, factory) -> None:
     """Open-loop pass over a recorded microphone signal, one hop at a time."""
     stft_cfg = cfg.stft()
     knobs = cfg.loop_knobs()
     sig = read_wav(args.in_path, expect_rate=stft_cfg.sample_rate)
+    if len(sig.samples) < stft_cfg.frame_len:
+        raise ValueError(f"input {args.in_path} has {len(sig.samples)} samples, fewer than "
+                         f"one {stft_cfg.frame_len}-sample frame")
+    out = _out_dir(args, cfg)
     gain = knobs["gain"] if args.gain is None else args.gain
     delay_samples = int(round(knobs["delay"] * stft_cfg.sample_rate))
     # the factory reads the loop geometry off a scene-shaped object
@@ -209,7 +207,7 @@ def _suppress_wav(args, cfg: RunConfig, out: str, factory) -> None:
     print(f"wrote {out_wav}")
 
 
-def _suppress_scene(args, cfg: RunConfig, out: str, factory) -> None:
+def _suppress_scene(args, cfg: RunConfig, factory) -> None:
     """Closed-loop run over one synthetic scene."""
     stft_cfg = cfg.stft()
     knobs = cfg.loop_knobs()
@@ -217,6 +215,7 @@ def _suppress_scene(args, cfg: RunConfig, out: str, factory) -> None:
     sampler = cfg.sampler("test", duration=duration)
     gain = knobs["gain"] if args.gain is None else args.gain
     scene = sampler.scene(args.scene, gain=gain)
+    out = _out_dir(args, cfg)
     result = run_scene(scene, factory(scene), det=cfg.detector())
     _check_finite(result.s_hat, "suppressor")
 
@@ -246,7 +245,6 @@ def cmd_rir(args) -> None:
     _check_count(args.count, "--count")
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
-    _write_config_echo(cfg, out)
     trainer = cfg.trainer()
     fs = cfg.stft().sample_rate
     rng = np.random.default_rng([cfg.seed, 3])
@@ -288,8 +286,6 @@ def _load_corpus(corpus_dir: str, sample_rate: int):
 
 def cmd_train(args) -> None:
     cfg = _effective_config(args)
-    out = _out_dir(args, cfg)
-    _write_config_echo(cfg, out)
     tcfg = cfg.trainer()
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
@@ -309,6 +305,7 @@ def cmd_train(args) -> None:
     # test split stays untouched for final evaluation
     val_sampler = cfg.sampler("test", duration=tcfg.duration,
                               seed=cfg.seed + 17, utterances=utterances)
+    out = _out_dir(args, cfg)
     nets = cfg.nets()
     log_path = os.path.join(out, "train_log.jsonl")
     print(f"training {'+'.join(sorted(nets))} for {tcfg.epochs} epochs "
@@ -329,10 +326,9 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     _check_count(args.scenes, "--scenes")
     cfg = _effective_config(args)
-    out = _out_dir(args, cfg)
-    _write_config_echo(cfg, out)
     duration = args.duration if args.duration is not None else cfg.trainer().duration
     sampler = cfg.sampler("test", duration=duration)
+    out = _out_dir(args, cfg)
     scenes = sampler.scenes(args.scenes)
 
     variants = {

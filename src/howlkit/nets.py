@@ -4,7 +4,9 @@ Stacked gated-memory (LSTM) layers with a projected, activated output.
 Everything needed for streaming use and truncated backprop-through-time is
 exposed at single-step granularity: step() returns a cache, step_back()
 consumes one, so a caller can interleave network steps with other
-differentiable computation and still reverse the whole window.
+differentiable computation and still reverse the whole window.  The weight
+gradients are summed once per window by window_grads(), one matrix product
+per weight over the gate gradients step_back() recorded.
 
 Three specializations cover the suppression stack:
   * mask net    — input [logpow(Y_k), logpow(X_{k-1})], sigmoid output in [0,1]
@@ -54,10 +56,13 @@ def _matvec(W, v):
     return W @ v if v.ndim == 1 else np.matmul(W, v[..., None])[..., 0]
 
 
-def _outer(a, b):
-    """Outer product of two vectors, or of each row pair of two stacks."""
-    # einsum's outer product is faster than broadcasting at these sizes
-    return np.einsum("i,j->ij", a, b) if a.ndim == 1 else np.einsum("bi,bj->bij", a, b)
+def _window_matmul(a, b):
+    """sum_t outer(a[t], b[t]) over (T, m) and (T, n) windows, or per row of
+    (T, rows, m) and (T, rows, n) stacks: one matrix product per row, so each
+    row is bitwise its solo product."""
+    if a.ndim == 2:
+        return a.T @ b
+    return np.matmul(a.transpose(1, 2, 0), b.transpose(1, 0, 2))
 
 
 @dataclass
@@ -112,11 +117,6 @@ class LstmNet:
             [np.zeros(lead + (H,)) for H in self.hidden_sizes],
         )
 
-    def zero_grads(self, rows=None) -> dict:
-        """Zero gradients, or a (rows, ...) stack of them, one per stream."""
-        lead = () if rows is None else (rows,)
-        return {k: np.zeros(lead + v.shape) for k, v in self.params.items()}
-
     def step(self, x, state: HiddenState):
         """One frame forward.  Returns (output, new_state, cache).
 
@@ -168,15 +168,16 @@ class LstmNet:
 
     # --------------------------------------------------------------- backward
 
-    def step_back(self, cache, d_out, d_state_next: HiddenState, grads: dict):
+    def step_back(self, cache, d_out, d_state_next: HiddenState, gate_grads: list):
         """Backprop one frame.
 
         d_out is dL/d(output); d_state_next carries dL/dh and dL/dc flowing
-        back from the following time step.  Parameter gradients accumulate
-        into ``grads``.  Returns (d_x, d_state_prev).  For a cache of a
-        stacked step every argument carries the leading row axis, ``grads``
-        included (``zero_grads(rows)``), and each row is bitwise its solo
-        step back.
+        back from the following time step.  The frame's readout and per-layer
+        gate gradients are appended to ``gate_grads``, for window_grads() to
+        sum into parameter gradients once the window is reversed.  Returns
+        (d_x, d_state_prev).  For a cache of a stacked step every argument
+        carries the leading row axis, and each row is bitwise its solo step
+        back.
         """
         layer_caches, h_last, v, out = cache
         d_out = np.asarray(d_out, dtype=np.float64)
@@ -186,10 +187,9 @@ class LstmNet:
             dv = d_out * _sigmoid(v)
         else:
             dv = d_out
-        grads["w_out"] += _outer(dv, h_last)
-        grads["b_out"] += dv
         dh = _matvec(self.params["w_out"].T, dv)
 
+        dzs = [None] * len(self.hidden_sizes)
         d_prev_h = [None] * len(self.hidden_sizes)
         d_prev_c = [None] * len(self.hidden_sizes)
         for l in reversed(range(len(self.hidden_sizes))):
@@ -198,19 +198,40 @@ class LstmNet:
             dh_total = dh + d_state_next.h[l]
             dc = d_state_next.c[l] + dh_total * o * (1.0 - tc * tc)
             do = dh_total * tc
-            dz = np.concatenate([
+            dz = dzs[l] = np.concatenate([
                 (dc * g) * i * (1.0 - i),
                 (dc * c_prev) * f * (1.0 - f),
                 (dc * i) * (1.0 - g * g),
                 do * o * (1.0 - o),
             ], axis=-1)
-            grads[f"wx{l}"] += _outer(dz, inp)
-            grads[f"wh{l}"] += _outer(dz, h_prev)
-            grads[f"b{l}"] += dz
             d_prev_h[l] = _matvec(self.params[f"wh{l}"].T, dz)
             d_prev_c[l] = dc * f
             dh = _matvec(self.params[f"wx{l}"].T, dz)  # input of layer l is h of layer l-1
+        gate_grads.append((dv, dzs))
         return dh, HiddenState(d_prev_h, d_prev_c)
+
+    def window_grads(self, caches, gate_grads):
+        """Parameter gradients of a reversed window.
+
+        ``caches`` are the window's step() caches in time order and
+        ``gate_grads`` the list step_back() filled while walking them
+        backwards.  Each weight's gradient is one matrix product over the
+        window, each bias's a sum over it; for stacked caches every gradient
+        is a (rows, ...) stack, each row bitwise its solo window's.
+        """
+        if len(caches) != len(gate_grads):
+            raise ValueError("one recorded step back per cache is needed")
+        gate_grads = gate_grads[::-1]
+        dv = np.stack([dv for dv, _ in gate_grads])
+        grads = {"w_out": _window_matmul(dv, np.stack([c[1] for c in caches])),
+                 "b_out": dv.sum(axis=0)}
+        for l in range(len(self.hidden_sizes)):
+            dz = np.stack([dzs[l] for _, dzs in gate_grads])
+            layer = [c[0][l] for c in caches]  # each frame's (inp, h_prev, ...)
+            grads[f"wx{l}"] = _window_matmul(dz, np.stack([lc[0] for lc in layer]))
+            grads[f"wh{l}"] = _window_matmul(dz, np.stack([lc[1] for lc in layer]))
+            grads[f"b{l}"] = dz.sum(axis=0)
+        return grads
 
     def backward(self, caches, d_outs, d_state_final=None):
         """BPTT over a window recorded by forward().
@@ -220,15 +241,12 @@ class LstmNet:
         """
         if len(caches) != len(d_outs):
             raise ValueError("caches and output gradients must have equal length")
-        grads = self.zero_grads()
-        d_state = d_state_final if d_state_final is not None else HiddenState(
-            [np.zeros(H) for H in self.hidden_sizes],
-            [np.zeros(H) for H in self.hidden_sizes],
-        )
+        d_state = d_state_final if d_state_final is not None else self.init_state()
         d_xs = np.zeros((len(caches), self.input_size))
+        gate_grads = []
         for t in reversed(range(len(caches))):
-            d_xs[t], d_state = self.step_back(caches[t], d_outs[t], d_state, grads)
-        return grads, d_xs, d_state
+            d_xs[t], d_state = self.step_back(caches[t], d_outs[t], d_state, gate_grads)
+        return self.window_grads(caches, gate_grads), d_xs, d_state
 
 
 def mask_apply(mask: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -37,6 +37,17 @@ FEEDBACK_RIR_LEN = 1024
 NEAR_RIR_LEN = 2048
 
 
+def _check_synth_duration(duration: float, sample_rate: int):
+    """(samples, gate edge) of a synthetic utterance, or ValueError when
+    ``duration`` is shorter than the 12 ms over which its voicing gate is
+    smoothed."""
+    n, edge = int(round(duration * sample_rate)), max(1, int(0.012 * sample_rate))
+    if n < edge:
+        raise ValueError(f"scene duration {duration:g} s is {n} samples, shorter than "
+                         f"the {edge} samples synthetic speech needs")
+    return n, edge
+
+
 def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSignal:
     """Speech-shaped synthetic utterance: glottal-style pulse train with a
     piecewise pitch contour in 80-300 Hz, three formant resonators, syllabic
@@ -49,7 +60,7 @@ def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSi
         raise ValueError("duration must be positive")
     fs = sample_rate
     rng = np.random.default_rng([int(seed), 0x5B])
-    n = int(round(duration * fs))
+    n, edge = _check_synth_duration(duration, fs)
 
     seg = int(0.4 * fs)
     n_seg = -(-n // seg)
@@ -58,7 +69,6 @@ def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSi
     voiced[0] = True
     f0_track = np.repeat(f0s, seg)[:n]
     gate = np.repeat(voiced.astype(float), seg)[:n]
-    edge = max(1, int(0.012 * fs))
     gate = np.convolve(gate, np.ones(edge) / edge, mode="same")
 
     phase = np.cumsum(f0_track / fs)
@@ -118,13 +128,6 @@ class SgdOptimizer:
         for key, g in _flat_items(grads):
             flat_params[key] -= self.lr * g
 
-    def state_arrays(self):
-        return {}
-
-    def load_state_arrays(self, arrays):
-        if arrays:
-            raise ValueError("plain gradient descent carries no state")
-
 
 class AdamOptimizer:
     """Adaptive moments with bias correction and global-norm clipping."""
@@ -155,19 +158,6 @@ class AdamOptimizer:
             mhat = self.m[key] / b1c
             vhat = self.v[key] / b2c
             flat_params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def state_arrays(self):
-        out = {"t": np.array([self.t], dtype=np.int64)}
-        for key, arr in self.m.items():
-            out["m:" + key] = arr
-        for key, arr in self.v.items():
-            out["v:" + key] = arr
-        return out
-
-    def load_state_arrays(self, arrays):
-        self.t = int(arrays["t"][0])
-        self.m = {k[2:]: np.array(v) for k, v in arrays.items() if k.startswith("m:")}
-        self.v = {k[2:]: np.array(v) for k, v in arrays.items() if k.startswith("v:")}
 
 
 def make_optimizer(cfg):
@@ -266,7 +256,9 @@ class SceneSampler:
             raise ValueError(f"split must be one of {sorted(_SPLIT_TAGS)}, got {split!r}")
         if duration <= 0:
             raise ValueError("duration must be positive")
-        if utterances is not None:
+        if utterances is None:
+            _check_synth_duration(duration, sample_rate)
+        else:
             if len(utterances) == 0:
                 raise ValueError("utterance pool is empty")
             for utt in utterances:
@@ -542,15 +534,11 @@ def _validate(nets, scenes, cfg: TrainConfig, stft_cfg: Optional[StftConfig] = N
     return float(np.mean([sdr(res.s, res.s_hat_aligned()) for res in results]))
 
 
-def save_checkpoint(nets, path: str, optimizer=None, meta=None):
-    """Write nets (one file each), optional optimizer state, and metadata."""
+def save_checkpoint(nets, path: str, meta=None):
+    """Write nets (one file each) and metadata; no optimizer state is kept."""
     os.makedirs(path, exist_ok=True)
     for name, net in nets.items():
         save_params(net, os.path.join(path, f"{name}.net"))
-    if optimizer is not None:
-        state = optimizer.state_arrays()
-        if state:
-            np.savez(os.path.join(path, "optimizer.npz"), **state)
     record = {"nets": sorted(nets)}
     if meta:
         record.update(meta)
@@ -619,10 +607,9 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
                 if score > best_sdr:
                     best_sdr = score
                     if best_dir:
-                        save_checkpoint(nets, best_dir, optimizer=optimizer,
-                                        meta={"epoch": epoch, "val_sdr": score})
+                        save_checkpoint(nets, best_dir, meta={"epoch": epoch, "val_sdr": score})
         if checkpoint_dir:
-            save_checkpoint(nets, os.path.join(checkpoint_dir, "final"), optimizer=optimizer,
+            save_checkpoint(nets, os.path.join(checkpoint_dir, "final"),
                             meta={"epoch": cfg.epochs - 1, "val_sdr": best_sdr if np.isfinite(best_sdr) else None})
         if best_dir and os.path.exists(os.path.join(best_dir, "checkpoint.json")):
             best = load_checkpoint(best_dir)

@@ -116,6 +116,39 @@ def dense_kalman_run(Y, X, L, psi_vv, psi_dd, A, alpha, p_init):
     return w_traj
 
 
+def per_frame_weight_grads(hidden_sizes, caches, gate_grads):
+    """An LSTM window's parameter gradients, accumulated one frame at a time.
+
+    ``caches`` are the window's ``LstmNet.step`` caches in time order and
+    ``gate_grads`` the (readout, per-layer gate) gradients ``step_back``
+    recorded, last frame first.  Walking the window backwards, each frame
+    adds the outer product of its gate gradient with the layer input, and
+    with the previous hidden state, into the weight gradients, and its gate
+    gradient into the bias; a stacked window does this row by row.
+    """
+
+    def outer(a, b):
+        if a.ndim == 1:
+            return np.outer(a, b)
+        return np.array([np.outer(a_row, b_row) for a_row, b_row in zip(a, b)])
+
+    grads = {}
+
+    def add(key, value):
+        grads[key] = grads[key] + value if key in grads else value
+
+    for cache, (dv, dzs) in zip(reversed(caches), gate_grads):
+        layer_caches, h_last = cache[0], cache[1]
+        add("w_out", outer(dv, h_last))
+        add("b_out", dv)
+        for l in range(len(hidden_sizes)):
+            inp, h_prev = layer_caches[l][0], layer_caches[l][1]
+            add(f"wx{l}", outer(dzs[l], inp))
+            add(f"wh{l}", outer(dzs[l], h_prev))
+            add(f"b{l}", dzs[l])
+    return grads
+
+
 def lfilter_stream(taps, chunks):
     """FIR filtering chunk by chunk with scipy's transposed direct form.
 

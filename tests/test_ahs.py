@@ -13,6 +13,7 @@ from howlkit.loop import LoopScene, run_scene
 from howlkit.nets import LstmNet, make_cov_dd_net, make_cov_vv_net, make_mask_net
 from howlkit.rooms import Rir, RoomSpec, generate_rir
 from howlkit.signals import StftConfig, TimeSignal
+from oracles import per_frame_weight_grads
 
 FS = 16000
 
@@ -315,6 +316,39 @@ def test_gradient_check_mask_with_classical_covariances():
 
 def test_gradient_check_predict_only_scope():
     _fd_gradient_check(tiny_ahs(mask_scope="predict_only"), ("mask", "vv", "dd"))
+
+
+def test_window_grads_after_keep_equal_per_frame_sums(monkeypatch):
+    # a three-row stack loses its middle row mid-window; each net then sums
+    # the kept rows' part of the tape, one matrix product per weight
+    window_grads = LstmNet.window_grads
+    checked = []
+
+    def checked_window_grads(net, caches, gate_grads):
+        got = window_grads(net, caches, gate_grads)
+        want = per_frame_weight_grads(net.hidden_sizes, caches, gate_grads)
+        for key, value in want.items():
+            assert got[key].shape[0] == 2
+            np.testing.assert_allclose(got[key], value, rtol=1e-12, err_msg=key)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(LstmNet, "window_grads", checked_window_grads)
+    ahs = KalmanAhs((1.3, 1.1, 0.9), (64, 64, 64), sat=(1.0, 1.0, 1.0),
+                    stft_cfg=TINY, fdkf_cfg=TINY_F, **tiny_nets())
+    T = 10
+    ys = random_chunks(3 * T, 40).reshape(T, 3, TINY.hop)
+    xs = random_chunks(3 * T, 41, scale=0.3).reshape(T, 3, TINY.hop)
+    rows = [0, 1, 2]
+    ahs.begin_window()
+    for t in range(T):
+        if t == 4:
+            rows = [0, 2]
+            ahs.keep(rows)
+        ahs.step_open(ys[t][rows], xs[t][rows])
+    _, grads = ahs.end_window(np.ones((T, 2, TINY.num_bins)))
+    assert list(grads) == ["mask", "vv", "dd"]
+    assert all(grads[name] is got for name, got in zip(grads, checked))
 
 
 def test_stop_grad_filter_blocks_recursion_paths():

@@ -105,6 +105,14 @@ def test_simulate_zero_duration_is_config_error(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+def test_simulate_shorter_than_synthetic_speech_writes_nothing(tmp_path, capsys):
+    # 0.001 s is 16 samples, under the 192 samples synthetic speech smooths over
+    assert run("simulate", "--duration", 0.001, "--count", 1,
+               "--out", tmp_path / "o") == EXIT_CONFIG
+    assert "scene duration 0.001 s is 16 samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_nonpositive_count_is_config_error(tmp_path, capsys):
     for count in (0, -1):
         assert run("simulate", "--count", count, "--out", tmp_path / "o") == EXIT_CONFIG
@@ -142,6 +150,14 @@ def test_open_loop_pcm16_round_trip_is_bit_exact(tmp_path, capsys):
                "--wav-format", "pcm16") == EXIT_OK
     capsys.readouterr()
     assert read_bytes(out / "s_hat.wav") == read_bytes(wav)
+
+
+def test_suppress_input_shorter_than_a_frame_writes_nothing(tmp_path, capsys):
+    wav = tmp_path / "mic.wav"
+    write_wav(wav, np.full(10, 0.1), 16000, fmt="float32")
+    assert run("suppress", "--in", wav, "--out", tmp_path / "o") == EXIT_CONFIG
+    assert f"input {wav} has 10 samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sample_rate_mismatch_is_refused(tmp_path, capsys):

@@ -17,7 +17,7 @@ from howlkit.nets import (
     normalize_log_power,
     save_params,
 )
-from oracles import scalar_lstm_forward
+from oracles import per_frame_weight_grads, scalar_lstm_forward
 
 
 def zeroed(net):
@@ -124,6 +124,57 @@ def test_corrupted_gradient_is_detected():
     worst = np.max(np.abs(analytic["wx0"] - numeric["wx0"])
                    / np.maximum(np.maximum(np.abs(analytic["wx0"]), np.abs(numeric["wx0"])), 1e-8))
     assert worst > 1e-4
+
+
+def stepped_window(net, T, rows, seed):
+    """A window stepped forward, then back, one frame at a time: returns
+    (caches, gate gradients as step_back recorded them)."""
+    rng = np.random.default_rng(seed)
+    lead = () if rows is None else (rows,)
+    xs = rng.standard_normal((T,) + lead + (net.input_size,))
+    d_outs = rng.standard_normal((T,) + lead + (net.output_size,))
+    state, caches = net.init_state(rows), []
+    for x in xs:
+        _, state, cache = net.step(x, state)
+        caches.append(cache)
+    d_state, gate_grads = net.init_state(rows), []
+    for t in reversed(range(T)):
+        _, d_state = net.step_back(caches[t], d_outs[t], d_state, gate_grads)
+    return caches, gate_grads
+
+
+def _row_cache(cache, row):
+    layer_caches, h_last, v, out = cache
+    return ([tuple(a[row] for a in lc) for lc in layer_caches], h_last[row], v[row], out[row])
+
+
+@pytest.mark.parametrize("T", [1, 2, 32])
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_window_grads_equal_per_frame_outer_product_sums(rows, hidden, T):
+    net = LstmNet(4, hidden, 3, "sigmoid", seed=len(hidden))
+    caches, gate_grads = stepped_window(net, T, rows, seed=T)
+    got = net.window_grads(caches, gate_grads)
+    want = per_frame_weight_grads(net.hidden_sizes, caches, gate_grads)
+    assert sorted(got) == sorted(want) == sorted(net.params)
+    lead = () if rows is None else (rows,)
+    for key, value in want.items():
+        assert got[key].shape == lead + net.params[key].shape
+        np.testing.assert_allclose(got[key], value, rtol=1e-12, err_msg=key)
+    if rows is not None:
+        # one matrix product per row: each row is bitwise its solo window
+        for row in range(rows):
+            solo = net.window_grads([_row_cache(c, row) for c in caches],
+                                    [(dv[row], [dz[row] for dz in dzs]) for dv, dzs in gate_grads])
+            for key, value in solo.items():
+                assert got[key][row].tobytes() == value.tobytes(), key
+
+
+def test_window_grads_need_one_step_back_per_cache():
+    net = LstmNet(4, (6,), 3, "sigmoid", seed=1)
+    caches, gate_grads = stepped_window(net, 3, None, seed=2)
+    with pytest.raises(ValueError, match="one recorded step back per cache"):
+        net.window_grads(caches, gate_grads[:2])
 
 
 def test_streaming_steps_equal_batch_forward():
