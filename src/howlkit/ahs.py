@@ -20,12 +20,10 @@ import copy
 
 import numpy as np
 
-from .fdkf import ClassicalCovariances, CovariancePair, FdkfConfig, KalmanFilter, shift_in
+from .fdkf import ClassicalCovariances, CovariancePair, FdkfConfig, KalmanFilter
 from .loop import DelayLine
 from .nets import HiddenState, mask_apply, normalize_log_power
 from .signals import StftConfig, StreamingIstft, StreamingStft, log_power
-
-MASK_SCOPES = ("everywhere", "predict_only")
 
 
 class KalmanAhs:
@@ -36,10 +34,6 @@ class KalmanAhs:
     ``delay_samples`` and ``sat`` must match the loop the processor runs in —
     they drive the internal loudspeaker mirror.
 
-    ``mask_scope`` decides where a learned reference acts: "everywhere"
-    (default) feeds it to prediction, gain and update alike; "predict_only"
-    keeps the raw loudspeaker reference for gain and update.
-
     Tuples of ``gain``, ``delay_samples`` and ``sat``, one value per row,
     build a multi-row processor: one independent stream per row, called
     with (B, hop) chunks and returning (B, hop) chunks, as a stack of
@@ -49,8 +43,7 @@ class KalmanAhs:
     """
 
     def __init__(self, gain, delay_samples, sat=1.0, stft_cfg=None, fdkf_cfg=None,
-                 mask_net=None, vv_net=None, dd_net=None,
-                 mask_scope="everywhere", stop_grad_filter=False):
+                 mask_net=None, vv_net=None, dd_net=None, stop_grad_filter=False):
         stft_cfg = stft_cfg if stft_cfg is not None else StftConfig()
         fdkf_cfg = fdkf_cfg if fdkf_cfg is not None else FdkfConfig(num_bins=stft_cfg.num_bins)
         if fdkf_cfg.num_bins != stft_cfg.num_bins:
@@ -69,8 +62,6 @@ class KalmanAhs:
             raise ValueError("loop delay must be at least one hop for the reference mirror")
         if (vv_net is None) != (dd_net is None):
             raise ValueError("covariance networks come as a pair: both or neither")
-        if mask_scope not in MASK_SCOPES:
-            raise ValueError(f"mask_scope must be one of {MASK_SCOPES}")
 
         self.cfg = stft_cfg
         self.fcfg = fdkf_cfg
@@ -85,7 +76,6 @@ class KalmanAhs:
         self.mask_net = mask_net
         self.vv_net = vv_net
         self.dd_net = dd_net
-        self.mask_scope = mask_scope
         self.stop_grad_filter = bool(stop_grad_filter)
         self.latency = stft_cfg.frame_len - stft_cfg.hop
 
@@ -95,11 +85,6 @@ class KalmanAhs:
         self._istft = StreamingIstft(stft_cfg, rows)
         self._mirror = DelayLine(self.delay_samples)
         self._x_prev = np.zeros(self.filt.X_hist.shape[:-1], dtype=np.complex128)
-        # separate reference history only when the learned reference is kept
-        # out of the gain/update equations
-        self._ref_hist = None
-        if mask_scope == "predict_only":
-            self._ref_hist = np.zeros_like(self.filt.X_hist)
         self._mask_state = mask_net.init_state(rows) if mask_net is not None else None
         self._vv_state = vv_net.init_state(rows) if vv_net is not None else None
         self._dd_state = dd_net.init_state(rows) if dd_net is not None else None
@@ -127,8 +112,8 @@ class KalmanAhs:
             if part is not None:
                 part.keep(rows)
         self._x_prev = self._x_prev[rows]
-        self._ref_hist, self._mask_state, self._vv_state, self._dd_state = _take(
-            (self._ref_hist, self._mask_state, self._vv_state, self._dd_state), rows)
+        self._mask_state, self._vv_state, self._dd_state = _take(
+            (self._mask_state, self._vv_state, self._dd_state), rows)
         if self._tape is not None:
             # entry by entry, so the old tape is freed as the new one grows
             for k, entry in enumerate(self._tape):
@@ -168,12 +153,8 @@ class KalmanAhs:
         else:
             ref = x_raw
 
-        filt.push_reference(ref if self._ref_hist is None else x_raw)
-        if self._ref_hist is None:
-            hist_pred = filt.X_hist
-        else:
-            hist_pred = self._ref_hist = shift_in(self._ref_hist, ref)
-        s_hat = filt.predict(y_frame, hist_pred)
+        filt.push_reference(ref)
+        s_hat = filt.predict(y_frame)
 
         W_pre, P_pre = filt.W, filt.P
         vcache = dcache = rss = None
@@ -194,7 +175,7 @@ class KalmanAhs:
             # mutates afterwards, so references suffice
             self._tape.append({
                 "y": y_frame, "mcache": mcache,
-                "hist_pred": hist_pred, "hist_gain": filt.X_hist,
+                "hist": filt.X_hist,
                 "W": W_pre, "P": P_pre, "s_hat": s_hat, "K": K,
                 "vv": cov.psi_vv, "vcache": vcache, "dcache": dcache, "rss": rss,
                 "pos": filt.P > 0,
@@ -253,7 +234,6 @@ class KalmanAhs:
         fcfg = self.fcfg
         A, A2, alpha = fcfg.A, fcfg.A**2, fcfg.alpha
         taps, eps, beta = fcfg.num_taps, fcfg.eps, fcfg.beta
-        everywhere = self._ref_hist is None
 
         rows = self.rows
         attached = [(name, net, key) for name, net, key in (
@@ -277,7 +257,7 @@ class KalmanAhs:
             if self.stop_grad_filter:
                 gW[:] = 0.0
                 gP[:] = 0.0
-            X, Hp = e["hist_gain"], e["hist_pred"]
+            X = e["hist"]
             W, P, K, s_hat, vv = e["W"], e["P"], e["K"], e["s_hat"], e["vv"]
             s_mag = s_mags[k]
             unit = np.where(s_mag > 0, 1.0 / np.maximum(s_mag, 1e-300), 0.0) * s_hat
@@ -293,10 +273,7 @@ class KalmanAhs:
             conj_X, conj_K = np.conj(X), np.conj(K)
             g_K_decay = -alpha * g_decay
             gK = g_K_decay * conj_X
-            if everywhere:
-                gH_frame = g_K_decay * conj_K
-            else:
-                gH_frame = np.zeros(shape, dtype=np.complex128)
+            gH_frame = g_K_decay * conj_K
 
             # weight update W(k+1) = A (W + K s_hat)
             gW_new = A * gW
@@ -311,9 +288,8 @@ class KalmanAhs:
             gdenom = -np.sum((gK * PX).real, axis=-1) / (denom * denom)
             gP_new += (g_t1 * X).real
             gP_new += gdenom[..., None] * xpow
-            if everywhere:
-                gH_frame += P * np.conj(g_t1)
-                gH_frame += 2.0 * gdenom[..., None] * PX
+            gH_frame += P * np.conj(g_t1)
+            gH_frame += 2.0 * gdenom[..., None] * PX
             gvv = gdenom
 
             # covariance source
@@ -332,8 +308,8 @@ class KalmanAhs:
                 gvv_carry = beta * g_sm
                 gW_new += (2.0 * (1.0 - A2)) * gdd * W
 
-            # prediction s_hat = Y - sum_l Hp W
-            gW_new += -(conj_X if Hp is X else np.conj(Hp)) * gS[..., None]
+            # prediction s_hat = Y - sum_l X W
+            gW_new += -conj_X * gS[..., None]
             gH_frame += -np.conj(W) * gS[..., None]
 
             # history shift: slot 0 holds this frame's reference

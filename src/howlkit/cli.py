@@ -73,8 +73,7 @@ def _load_nets(cfg: RunConfig, checkpoint: str):
 
 
 def _build_suppressor_factory(cfg: RunConfig, variant: str, nets=None,
-                              no_mask=False, no_cov=False,
-                              stop_grad_filter=False):
+                              no_mask=False, no_cov=False):
     """Return factory(scene) -> suppressor for a closed-loop run.
 
     Ablation flags strip networks from the neural variant; with both
@@ -86,13 +85,10 @@ def _build_suppressor_factory(cfg: RunConfig, variant: str, nets=None,
     fdkf_cfg = cfg.fdkf()
     kwargs = {}
     if variant == "neuralkalman":
-        neural = cfg.to_dict()["neural"]
         kwargs = {
             "mask_net": None if no_mask else nets.get("mask"),
             "vv_net": None if no_cov else nets.get("vv"),
             "dd_net": None if no_cov else nets.get("dd"),
-            "mask_scope": neural["mask_scope"],
-            "stop_grad_filter": stop_grad_filter or neural["stop_grad_filter"],
         }
     return lambda scene: KalmanAhs.for_scene(scene, stft_cfg=stft_cfg,
                                              fdkf_cfg=fdkf_cfg, **kwargs)
@@ -152,8 +148,7 @@ def cmd_suppress(args) -> None:
     if args.variant == "neuralkalman":
         nets = _load_nets(cfg, checkpoint)
     factory = _build_suppressor_factory(
-        cfg, args.variant, nets=nets, no_mask=args.no_mask, no_cov=args.no_cov,
-        stop_grad_filter=args.stop_grad_filter)
+        cfg, args.variant, nets=nets, no_mask=args.no_mask, no_cov=args.no_cov)
 
     if args.in_path:
         _suppress_wav(args, cfg, factory)
@@ -326,7 +321,7 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     _check_count(args.scenes, "--scenes")
     cfg = _effective_config(args)
-    duration = args.duration if args.duration is not None else cfg.trainer().duration
+    duration = args.duration if args.duration is not None else cfg.loop_knobs()["duration"]
     sampler = cfg.sampler("test", duration=duration)
     out = _out_dir(args, cfg)
     scenes = sampler.scenes(args.scenes)
@@ -400,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ablation: drop the mask network")
     p.add_argument("--no-cov", action="store_true",
                    help="ablation: drop both covariance networks")
-    p.add_argument("--stop-grad-filter", action="store_true",
-                   help="wiring flag carried into the suppressor")
     p.add_argument("--gain", type=float, help="loop gain (default: config loop.gain)")
     p.add_argument("--duration", type=float, help="scene length in seconds (synthetic)")
     p.add_argument("--scene", type=int, default=0, help="test-split scene index (synthetic)")

@@ -11,10 +11,10 @@ Sections:
     fdkf      filter sizes and recursion constants (fdkf.FdkfConfig)
     detector  howling test (loop.HowlDetectorConfig)
     loop      scalar scene knobs: gain, delay, sat, duration
-    neural    mask network size and wiring: mask_hidden, mask_scope,
-              stop_grad_filter, seed
+    neural    mask network size and wiring: mask_hidden, stop_grad_filter,
+              seed
     trainer   training hyperparameters and sampling ranges
-              (training.TrainConfig, minus the wiring keys above)
+              (training.TrainConfig, minus the wiring key above)
     paths     out_dir, checkpoint, corpus_dir
 """
 
@@ -27,16 +27,12 @@ from .loop import HowlDetectorConfig
 from .signals import ConfigError, StftConfig
 from .training import SceneSampler, TrainConfig, make_default_nets
 
-# trainer keys owned by the "neural" section instead
-_WIRING_KEYS = ("mask_scope", "stop_grad_filter")
-
 
 def default_config() -> dict:
     """The full schema with library defaults, JSON-serializable."""
     trainer = asdict(TrainConfig())
     neural = {
         "mask_hidden": [32, 32],
-        "mask_scope": trainer.pop("mask_scope"),
         "stop_grad_filter": trainer.pop("stop_grad_filter"),
         "seed": 0,
     }
@@ -127,9 +123,7 @@ class RunConfig:
                 sec[key] = tuple(val)
         neural = self.data["neural"]
         try:
-            return TrainConfig(mask_scope=neural["mask_scope"],
-                               stop_grad_filter=neural["stop_grad_filter"],
-                               **sec)
+            return TrainConfig(stop_grad_filter=neural["stop_grad_filter"], **sec)
         except ValueError as exc:
             raise ConfigError(f"trainer: {exc}") from exc
 

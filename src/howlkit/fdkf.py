@@ -75,18 +75,6 @@ class CovariancePair:
             raise ValueError(f"{name} must be nonnegative")
 
 
-def shift_in(hist, frame):
-    """History with ``frame`` at slot 0 and every older frame one slot later.
-
-    Returns a fresh array, never a shift in place: training tapes keep the
-    previous history by reference.
-    """
-    out = np.empty_like(hist)
-    out[..., 1:] = hist[..., :-1]
-    out[..., 0] = frame
-    return out
-
-
 class KalmanFilter:
     """Stateful per-bin Kalman recursion; one instance per audio stream.
 
@@ -120,17 +108,20 @@ class KalmanFilter:
         return frame
 
     def push_reference(self, x_new):
-        """Shift the reference history and place the new frame at slot 0."""
-        self.X_hist = shift_in(self.X_hist, self._check_frame(x_new, "reference frame"))
+        """Place the new frame at slot 0 and every older frame one slot later.
 
-    def predict(self, y, hist=None):
-        """Near-end estimate: microphone frame minus the modelled feedback.
-
-        ``hist`` replaces X_hist as the reference history to predict against.
+        Builds a fresh array, never a shift in place: training tapes keep the
+        previous history by reference.
         """
+        hist = np.empty_like(self.X_hist)
+        hist[..., 1:] = self.X_hist[..., :-1]
+        hist[..., 0] = self._check_frame(x_new, "reference frame")
+        self.X_hist = hist
+
+    def predict(self, y):
+        """Near-end estimate: microphone frame minus the modelled feedback."""
         y = self._check_frame(y, "microphone frame")
-        hist = self.X_hist if hist is None else hist
-        return y - np.sum(hist * self.W, axis=-1)
+        return y - np.sum(self.X_hist * self.W, axis=-1)
 
     def gain(self, cov: CovariancePair) -> np.ndarray:
         """Kalman gain per bin and tap."""

@@ -202,7 +202,6 @@ class TrainConfig:
     delay_range: tuple = (0.15, 0.25)
     rt60_range: tuple = (0.15, 0.6)
     coupling_range: tuple = (2.0, 4.0)
-    mask_scope: str = "everywhere"
     stop_grad_filter: bool = False
     validation_scenes: int = 4
     validation_gain: float = 2.0
@@ -378,14 +377,14 @@ class TrainEvent:
 
 
 def build_ahs(nets, scene, stft_cfg: Optional[StftConfig] = None,
-              fdkf_cfg: Optional[FdkfConfig] = None, mask_scope: str = "everywhere",
+              fdkf_cfg: Optional[FdkfConfig] = None,
               stop_grad_filter: bool = False) -> KalmanAhs:
     """Wrap shared nets in a fresh suppressor sized for one scene, or with
     one row per scene of a list."""
     return KalmanAhs.for_scene(
         scene, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
         mask_net=nets.get("mask"), vv_net=nets.get("vv"), dd_net=nets.get("dd"),
-        mask_scope=mask_scope, stop_grad_filter=stop_grad_filter,
+        stop_grad_filter=stop_grad_filter,
     )
 
 
@@ -439,7 +438,7 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
     without contributing that window.
     """
     ahs = build_ahs(nets, scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
-                    mask_scope=cfg.mask_scope, stop_grad_filter=cfg.stop_grad_filter)
+                    stop_grad_filter=cfg.stop_grad_filter)
     hop = ahs.cfg.hop
     for scene in scenes:
         if cfg.t_bptt * hop > scene.delay_samples:
@@ -524,12 +523,11 @@ def train_scene(nets, scene: LoopScene, cfg: TrainConfig, optimizer=None):
     return nets, events[0]
 
 
-def _validate(nets, scenes, cfg: TrainConfig, stft_cfg: Optional[StftConfig] = None,
+def _validate(nets, scenes, stft_cfg: Optional[StftConfig] = None,
               fdkf_cfg: Optional[FdkfConfig] = None,
               det: Optional[HowlDetectorConfig] = None) -> float:
     """Mean SDR of the nets over held-out scenes, run forward as one stack."""
-    ahs = build_ahs(nets, scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
-                    mask_scope=cfg.mask_scope)
+    ahs = build_ahs(nets, scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg)
     results = run_scene(scenes, ahs, det=det, frame_size=ahs.cfg.hop)
     return float(np.mean([sdr(res.s, res.s_hat_aligned()) for res in results]))
 
@@ -600,8 +598,8 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
                 if val_scenes is None:
                     val_scenes = [val_sampler.scene(i, gain=cfg.validation_gain)
                                   for i in range(cfg.validation_scenes)]
-                score = _validate(nets, val_scenes, cfg, stft_cfg=stft_cfg,
-                                  fdkf_cfg=fdkf_cfg, det=det)
+                score = _validate(nets, val_scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
+                                  det=det)
                 if log_file:
                     log_file.write(json.dumps({"epoch": epoch, "val_sdr": score}) + "\n")
                 if score > best_sdr:

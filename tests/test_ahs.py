@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from howlkit.ahs import KalmanAhs, MASK_SCOPES
+from howlkit.ahs import KalmanAhs
 from howlkit.fdkf import FdkfConfig
 from howlkit.loop import LoopScene, run_scene
 from howlkit.nets import LstmNet, make_cov_dd_net, make_cov_vv_net, make_mask_net
@@ -54,10 +54,9 @@ def tiny_nets(mask=True, cov=True):
     return nets
 
 
-def tiny_ahs(mask=True, cov=True, mask_scope="everywhere", stop_grad_filter=False):
+def tiny_ahs(mask=True, cov=True, stop_grad_filter=False):
     return KalmanAhs(1.3, 64, stft_cfg=TINY, fdkf_cfg=TINY_F,
-                     mask_scope=mask_scope, stop_grad_filter=stop_grad_filter,
-                     **tiny_nets(mask=mask, cov=cov))
+                     stop_grad_filter=stop_grad_filter, **tiny_nets(mask=mask, cov=cov))
 
 
 def drive_chunks(ahs, ys, xs):
@@ -82,8 +81,6 @@ def test_construction_validation():
         KalmanAhs(1.0, 2400, fdkf_cfg=FdkfConfig(num_bins=5))
     with pytest.raises(ValueError, match="pair"):
         KalmanAhs(1.0, 2400, vv_net=LstmNet(65, (4,), 65, "softplus"))
-    with pytest.raises(ValueError, match="mask_scope"):
-        KalmanAhs(1.0, 2400, mask_scope="sometimes")
 
 
 def test_latency_is_overlap():
@@ -157,17 +154,6 @@ def test_deterministic_and_ablation_outputs_distinct():
             assert not np.array_equal(outputs[a], outputs[b]), (a, b)
 
 
-def test_mask_scope_changes_output():
-    scene = LoopScene(speech_like(0.7, 8), scaled_room_rir(), gain=1.8, delay=0.15)
-    bins = StftConfig().num_bins
-    outs = {}
-    for scope in MASK_SCOPES:
-        mask = LstmNet(2 * bins, (8,), bins, "sigmoid", seed=3)
-        res = run_scene(scene, KalmanAhs.for_scene(scene, mask_net=mask, mask_scope=scope))
-        outs[scope] = res.s_hat
-    assert not np.array_equal(outs["everywhere"], outs["predict_only"])
-
-
 # ------------------------------------------------------- window bookkeeping
 
 
@@ -209,10 +195,9 @@ def test_window_loss_reproducible_and_positive():
     assert losses[0] == losses[1] > 0.0
 
 
-@pytest.mark.parametrize("variant", ["classical", "everywhere", "predict_only"])
+@pytest.mark.parametrize("variant", ["classical", "everywhere"])
 def test_snapshot_restore_resumes_bitwise(variant):
-    # classical covers the covariance smoother, predict_only the separate
-    # reference history
+    # classical covers the covariance smoother
     scene = LoopScene(speech_like(0.8, 9), scaled_room_rir(), gain=1.5, delay=0.15)
     bins = StftConfig().num_bins
     nets = {}
@@ -220,8 +205,7 @@ def test_snapshot_restore_resumes_bitwise(variant):
         nets = {"mask_net": LstmNet(2 * bins, (8,), bins, "sigmoid", seed=3),
                 "vv_net": LstmNet(bins, (8,), bins, "softplus", seed=4),
                 "dd_net": LstmNet(bins, (8,), bins, "softplus", seed=5)}
-    scope = "everywhere" if variant == "classical" else variant
-    ahs = KalmanAhs.for_scene(scene, mask_scope=scope, **nets)
+    ahs = KalmanAhs.for_scene(scene, **nets)
     y = speech_like(0.8, 10).samples
 
     def resume():
@@ -312,10 +296,6 @@ def test_gradient_check_full_model():
 
 def test_gradient_check_mask_with_classical_covariances():
     _fd_gradient_check(tiny_ahs(cov=False), ("mask",))
-
-
-def test_gradient_check_predict_only_scope():
-    _fd_gradient_check(tiny_ahs(mask_scope="predict_only"), ("mask", "vv", "dd"))
 
 
 def test_window_grads_after_keep_equal_per_frame_sums(monkeypatch):

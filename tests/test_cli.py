@@ -187,6 +187,14 @@ def test_stripped_neural_variant_equals_kalman_bit_exact(tmp_path, capsys):
     assert read_bytes(abl / "scene_s_hat.wav") == read_bytes(kal / "scene_s_hat.wav")
 
 
+def test_suppress_has_no_stop_grad_filter_flag(tmp_path, capsys):
+    # the filter gradient is cut only in training; suppress never trains
+    assert run("suppress", "--synthetic", "--stop-grad-filter", "--duration", 0.5,
+               "--out", tmp_path / "o") == 2
+    assert "--stop-grad-filter" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     bad = SimpleNamespace(s_hat=np.array([1.0, np.nan]))
     monkeypatch.setattr(cli, "run_scene", lambda *a, **k: bad)
@@ -336,6 +344,16 @@ def test_eval_nonpositive_scenes_is_config_error(tmp_path, capsys):
     for count in (0, -3):
         assert run("eval", "--scenes", count, "--out", tmp_path / "o") == EXIT_CONFIG
         assert "--scenes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_takes_scene_length_from_loop_duration(tmp_path, capsys):
+    # 0.005 s is 80 samples, under the 192 samples synthetic speech smooths over
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"loop": {"duration": 0.005}}))
+    assert run("eval", "--config", cfg, "--scenes", 1, "--gains", "2",
+               "--out", tmp_path / "o") == EXIT_CONFIG
+    assert "scene duration 0.005 s is 80 samples" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -27,10 +27,8 @@ def test_defaults_equal_module_defaults():
     assert d["trainer"]["epochs"] == t.epochs
     assert tuple(d["trainer"]["gain_range"]) == t.gain_range
     assert tuple(d["trainer"]["rt60_range"]) == t.rt60_range
-    assert d["neural"]["mask_scope"] == t.mask_scope
     assert d["neural"]["stop_grad_filter"] == t.stop_grad_filter
-    # wiring keys live in the neural section only
-    assert "mask_scope" not in d["trainer"]
+    # the wiring key lives in the neural section only
     assert "stop_grad_filter" not in d["trainer"]
 
 
@@ -46,6 +44,7 @@ def test_json_round_trip_is_identity():
     ({"stft": {"hopp": 1}}, "stft.hopp"),
     ({"trainer": {"learning_rate": 0.1}}, "trainer.learning_rate"),
     ({"paths": {"输出": "x"}}, "paths"),
+    ({"neural": {"mask_scope": "everywhere"}}, "neural.mask_scope"),
 ])
 def test_unknown_keys_rejected_with_dotted_path(data, dotted):
     with pytest.raises(ConfigError, match=dotted.replace(".", r"\.")):
@@ -80,10 +79,7 @@ def test_loop_knobs_validated():
 
 
 def test_neural_wiring_merges_into_trainer():
-    cfg = RunConfig({"neural": {"mask_scope": "predict_only",
-                                "stop_grad_filter": True}})
-    t = cfg.trainer()
-    assert t.mask_scope == "predict_only"
+    t = RunConfig({"neural": {"stop_grad_filter": True}}).trainer()
     assert t.stop_grad_filter is True
 
 

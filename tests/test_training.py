@@ -491,10 +491,9 @@ def test_howling_row_drops_out_mid_window(monkeypatch):
 def test_validation_stack_equals_the_solo_loop():
     nets = small_nets()
     scenes = SceneSampler(seed=3, split="test", duration=0.5).scenes(3, gain=2.0)
-    cfg = TrainConfig(duration=0.5)
     solo = [run_scene(scene, build_ahs(nets, scene)) for scene in scenes]
     expect = float(np.mean([sdr(res.s, res.s_hat_aligned()) for res in solo]))
-    assert _validate(nets, scenes, cfg) == expect
+    assert _validate(nets, scenes) == expect
 
 
 # ---------------------------------------------------------------------------
