@@ -244,6 +244,12 @@ class ClosedLoop:
     ``howl_event`` is a list with one entry per row, and ``ahs`` maps
     (B, frame_size) frames to (B, frame_size) frames.  Each row is bitwise
     the run its scene gives alone.
+
+    No microphone sample within one loop delay of the frames stepped hears
+    a frame not yet stepped, so ``d`` and ``y`` are filled a span at a time
+    (the most whole frames within the shortest row delay) by one feedback
+    path call, and may hold samples up to one span beyond ``frames_done``.
+    ``result()`` still truncates every stream to the frames run.
     """
 
     def __init__(self, scene, ahs, det: Optional[HowlDetectorConfig] = None,
@@ -279,14 +285,12 @@ class ClosedLoop:
         if rows is None:
             self.s = targets[0][:n]
             self._gain, self._sat = scene.gain, scene.sat
-            self._line = DelayLine(scene.delay_samples)
             self._conv = StreamingConvolver(scene.feedback_rir)
         else:
             # per-row views of the scenes' own read-only targets, not a copy
             self.s = [t[:n] for t in targets]
             self._gain = np.array([[sc.gain] for sc in scenes])
             self._sat = np.array([[sc.sat] for sc in scenes])
-            self._line = DelayLine([sc.delay_samples for sc in scenes])
             self._conv = StreamingConvolver([sc.feedback_rir for sc in scenes])
         self._row_scenes = scenes
         self.y = np.zeros(lead + (n,))
@@ -297,6 +301,7 @@ class ClosedLoop:
         self._frame_shape = lead + (frame_size,)
         self._carry = 0
         self._t = 0
+        self._end = 0  # d and y are filled up to here
 
     @property
     def total_frames(self) -> int:
@@ -337,7 +342,6 @@ class ClosedLoop:
         if np.ndim(self._carry):
             self._carry = self._carry[rows]
         self._frame_shape = (self.rows, self.frame_size)
-        self._line.keep(rows)
         self._conv.keep(rows)
         if hasattr(self.ahs, "keep"):
             self.ahs.keep(rows)
@@ -348,22 +352,15 @@ class ClosedLoop:
         if self.frames_done >= self.total_frames:
             raise RuntimeError("scene already fully processed")
         t = self._t
+        if t == self._end:
+            self._fill(t)
         sl = slice(t, t + self.frame_size)
-        d = self.d[..., sl]
-        d[...] = self._conv.process(self._line.peek(self.frame_size))
-        if self.rows is None:
-            self.y[sl] = self.s[sl] + d
-        else:
-            # row by row from the scenes' own targets: gathering them costs more
-            for row, s in enumerate(self.s):
-                np.add(s[sl], d[row], out=self.y[row, sl])
         out = np.asarray(self.ahs(self.y[..., sl]), dtype=np.float64)
         if out.shape != self._frame_shape:
             raise ValueError("suppressor returned a frame of the wrong length")
         self.s_hat[..., sl] = out
         # np.clip's values for a clip above 0, without its wrapper's overhead
         self.x[..., sl] = np.minimum(np.maximum(self._gain * out, -self._sat), self._sat)
-        self._line.push(self.x[..., sl])
         hit, self._carry = _howl_scan(out, self.det, self._carry)
         if hit is not None:
             if self.rows is None:
@@ -375,6 +372,28 @@ class ClosedLoop:
                         self.howl_event[row] = t + int(hit[row])
         self._t = t + self.frame_size
         return hit is not None
+
+    def _fill(self, t):
+        """Microphone samples of the span from ``t``: the target plus the
+        loudspeaker stream, delayed by each row's loop delay (+0.0 before
+        its start), through the feedback path."""
+        dly = min(sc.delay_samples for sc in self._row_scenes)
+        span = min(dly - dly % self.frame_size, self.y.shape[-1] - t)
+        sl = slice(t, t + span)
+        x = np.atleast_2d(self.x)
+        heard = np.zeros((len(x), span))
+        for row, sc in enumerate(self._row_scenes):
+            lo = t - sc.delay_samples
+            heard[row, max(0, -lo):] = x[row, max(0, lo):max(0, lo + span)]
+        d = self.d[..., sl]
+        d[...] = self._conv.process(heard[0] if self.rows is None else heard)
+        if self.rows is None:
+            self.y[sl] = self.s[sl] + d
+        else:
+            # row by row from the scenes' own targets: gathering them costs more
+            for row, s in enumerate(self.s):
+                np.add(s[sl], d[row], out=self.y[row, sl])
+        self._end = t + span
 
     def result(self):
         """Streams processed so far, packaged (partial runs are truncated).

@@ -12,7 +12,8 @@ can actually drive the simulated loop unstable.
 Rounded arrivals also leave most taps zero: a 1024-tap feedback path has
 ~300-600 nonzero taps.  Every FIR here (streaming, batch and the batch
 peak) runs one kernel: a precomputed sparse Toeplitz matrix of the nonzero
-taps, applied with one scipy CSR product per block of 64 samples, which
+taps over the window of one 64-sample block.  One scipy CSR product applies
+it to up to 32 such windows at once, as the columns of a dense matrix, and
 reproduces ``scipy.signal.lfilter``'s output bit for bit (signed zeros
 aside; see StreamingConvolver).
 """
@@ -155,8 +156,10 @@ def generate_rir(spec: RoomSpec) -> Rir:
     return Rir(taps / peak, fs)
 
 
-# samples per kernel product: the loop's default hop
+# samples per block: the loop's default hop
 _BLOCK = 64
+# most whole blocks per kernel product: a loop delay of 0.15 s holds ~37
+_SPAN = 32
 
 
 def _kernel(parts, width: int) -> csr_matrix:
@@ -193,10 +196,12 @@ def _stream_rows(taps, start: int, m: int):
 class StreamingConvolver:
     """Chunk-by-chunk FIR convolution with carried state.
 
-    Each block of up to 64 samples is one product of a precomputed sparse
-    Toeplitz kernel with the window [last ``len(taps) - 1`` inputs, block].
-    A kernel row holds only the path's nonzero taps, highest tap first, and
-    scipy's CSR product sums each output from +0.0 in that order, with no
+    A precomputed sparse Toeplitz kernel maps the window [last
+    ``len(taps) - 1`` inputs, block] of a 64-sample block to its outputs.
+    Up to 32 blocks of a chunk go through it in one product with the matrix
+    whose columns are their windows.  A kernel row holds only the path's
+    nonzero taps, highest tap first, and scipy's CSR product, with one
+    column or many, sums each output from +0.0 in that order, with no
     fused multiply-add.  That is the sequence of IEEE operations of
     ``scipy.signal.lfilter(taps, [1.0, 0.0], x, zi=...)`` (transposed direct
     form) without its ``0*x`` and ``0*y`` terms, so the output is that
@@ -222,44 +227,50 @@ class StreamingConvolver:
         self._paths = [rir] if self._solo else list(rir)
         self._m = max(len(p.taps) for p in self._paths) - 1
         self._dead = None  # per-row flags, once a row has met a non-finite sample
-        self._win = np.zeros((len(self._paths), self._m + _BLOCK))
+        self._state = np.zeros((len(self._paths), self._m))  # the last m inputs
         self._stack_kernel()
 
     def _stack_kernel(self):
-        width = self._win.shape[-1]
+        width = self._m + _BLOCK
         parts = [row for b, p in enumerate(self._paths)
                  for row in _stream_rows(p.taps, b * width, self._m)]
-        self._kernel = _kernel(parts, self._win.size)
+        self._kernel = _kernel(parts, len(self._paths) * width)
 
     def keep(self, rows):
         """Continue with only these rows, in this order."""
         if self._dead is not None:
             self._dead = self._dead[rows]
         self._paths = [self._paths[i] for i in rows]
-        self._win = self._win[rows]
+        self._state = self._state[rows]
         self._stack_kernel()
 
     def process(self, chunk: np.ndarray) -> np.ndarray:
         return self._run(np.asarray(chunk, dtype=np.float64))
 
     def _run(self, chunk):
-        n = chunk.shape[-1]
-        if n <= _BLOCK:
-            return self._block(chunk)
-        out = np.empty(chunk.shape)
-        for lo in range(0, n, _BLOCK):
-            out[..., lo:lo + _BLOCK] = self._block(chunk[..., lo:lo + _BLOCK])
-        return out
-
-    def _block(self, chunk):
-        n, m, win = chunk.shape[-1], self._m, self._win
-        win[:, m:m + n] = chunk
-        res = (self._kernel @ win.ravel()).reshape(len(win), -1)
-        win[:, :m] = win[:, n:n + m]
-        out = res[:, :n]
-        if self._dead is not None or not np.isfinite(res).all():
-            self._poison(np.atleast_2d(chunk), out)
+        xs, step = np.atleast_2d(chunk), _SPAN * _BLOCK
+        out = np.empty(xs.shape)
+        for lo in range(0, xs.shape[1], step):
+            out[:, lo:lo + step] = self._span(xs[:, lo:lo + step])
         return out[0] if self._solo else out
+
+    def _span(self, xs):
+        """Up to 32 blocks in one kernel product, whose column j holds each
+        row's window stream[64 j : 64 j + m + 64]; a last block short of 64
+        samples is padded with zeros, which no kept output reads."""
+        m, n = self._m, xs.shape[1]
+        k = -(-n // _BLOCK)
+        stream = np.zeros((len(xs), m + k * _BLOCK))
+        stream[:, :m], stream[:, m:m + n] = self._state, xs
+        wins = np.ndarray((len(xs), m + _BLOCK, k), buffer=stream,
+                          strides=stream.strides + (_BLOCK * stream.itemsize,))
+        res = self._kernel @ np.ascontiguousarray(wins).reshape(-1, k)
+        res = res.reshape(len(xs), _BLOCK + 1, k)
+        self._state = stream[:, n:n + m]
+        ys = res[:, :_BLOCK].transpose(0, 2, 1).reshape(len(xs), -1)[:, :n]
+        if self._dead is not None or not np.isfinite(res).all():
+            self._poison(xs, ys)
+        return ys
 
     def _poison(self, xs, ys):
         """lfilter's output from each row's first non-finite input or output on."""
@@ -279,7 +290,7 @@ class StreamingConvolver:
 
 def convolve_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Batch convolution truncated to len(x): StreamingConvolver's kernel run
-    block by block from a zero state."""
+    span by span from a zero state."""
     x = np.asarray(x, dtype=np.float64)
     return StreamingConvolver(Rir(taps, 1))._run(x)
 

@@ -6,6 +6,7 @@ no code or structure with the package implementations they check.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.signal import lfilter
@@ -164,3 +165,38 @@ def lfilter_stream(taps, chunks):
             y, zi = lfilter(taps, [1.0, 0.0], np.asarray(chunk, dtype=np.float64), zi=zi)
             outs.append(y)
     return np.concatenate(outs)
+
+
+def per_hop_closed_loop(target, taps, gain, delay, sat, ahs, frame_size, amp_threshold=1.0,
+                        run_length=100):
+    """One closed-loop scene run hop by hop, in plain form.
+
+    A FIFO of ``delay`` loudspeaker samples, zeros at the start, feeds the
+    path: each hop takes its oldest ``frame_size`` samples out, filters them
+    with ``lfilter`` from the state the last hop left, and adds the target.
+    The suppressor ``ahs`` maps that microphone frame to its output, which
+    is scaled by ``gain``, clipped at ``sat`` and put back into the FIFO.  A
+    sample whose output magnitude exceeds ``amp_threshold`` extends the loud
+    run; the first sample at which the run exceeds ``run_length`` is the
+    howl.  Returns (y, d, s_hat, x, howl sample or None), truncated to whole
+    hops.
+    """
+    taps = np.asarray(taps, dtype=np.float64)
+    n = len(target) - len(target) % frame_size
+    fifo = deque([0.0] * delay)
+    zi = np.zeros(max(len(taps), 2) - 1)
+    y, d, s_hat, x = (np.zeros(n) for _ in range(4))
+    run, howl = 0, None
+    for t in range(0, n, frame_size):
+        hop = slice(t, t + frame_size)
+        heard = np.array([fifo.popleft() for _ in range(frame_size)])
+        d[hop], zi = lfilter(taps, [1.0, 0.0], heard, zi=zi)
+        y[hop] = target[hop] + d[hop]
+        s_hat[hop] = ahs(y[hop].copy())
+        x[hop] = np.clip(gain * s_hat[hop], -sat, sat)
+        fifo.extend(x[hop])
+        for i in range(t, t + frame_size):
+            run = run + 1 if abs(s_hat[i]) > amp_threshold else 0
+            if howl is None and run > run_length:
+                howl = i
+    return y, d, s_hat, x, howl

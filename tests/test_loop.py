@@ -21,6 +21,8 @@ from howlkit.rooms import Rir, RoomSpec, convolve_batch, generate_rir
 from howlkit.signals import TimeSignal
 from howlkit.wavio import read_wav
 
+from oracles import per_hop_closed_loop
+
 FS = 16000
 ROOM = RoomSpec(
     dimensions=(5.0, 4.0, 3.0),
@@ -470,3 +472,90 @@ def test_stack_validation():
         ClosedLoop([scenes[0], short], IdentityAhs())
     with pytest.raises(ValueError, match="frame_size"):
         ClosedLoop(scenes, IdentityAhs(), frame_size=401)
+
+
+# ------------------------------------------------- the per-hop reference loop
+# ClosedLoop fills the microphone a span ahead; the reference runs hop by hop.
+
+
+class _NanAt:
+    """Identity that returns NaN at one global sample index (of the first
+    row of a stack)."""
+
+    latency = 0
+
+    def __init__(self, at):
+        self.at, self._t = at, 0
+
+    def __call__(self, frame):
+        out = np.array(frame, dtype=np.float64)
+        lo, hi = self._t, self._t + frame.shape[-1]
+        if lo <= self.at < hi:
+            out[(0,) * (out.ndim - 1) + (self.at - lo,)] = np.nan
+        self._t = hi
+        return out
+
+
+def reference_run(scene, ahs, frame_size):
+    return per_hop_closed_loop(scene.target(), scene.feedback_rir.taps, scene.gain,
+                               scene.delay_samples, scene.sat, ahs, frame_size)
+
+
+def assert_matches_reference(row, ref, upto=None):
+    y, d, s_hat, x, howl = (a[:upto] if isinstance(a, np.ndarray) else a for a in ref)
+    assert row.howl_event == howl
+    for name, want in (("y", y), ("d", d), ("s_hat", s_hat), ("x", x)):
+        got = getattr(row, name)
+        assert np.array_equal(got, want, equal_nan=True), name
+        assert got[np.isfinite(got)].tobytes() == want[np.isfinite(want)].tobytes(), name
+
+
+@pytest.mark.parametrize("delay, frame_size", [
+    (64, 64),      # the span is one hop
+    (2401, 64),    # a delay off the hop grid: spans of 2368
+    (2401, 1),
+    (2401, 48),
+    (2401, 100),
+    (300, 100),
+])
+def test_closed_loop_equals_per_hop_reference_bitwise(delay, frame_size):
+    scene = LoopScene(noise_signal(1.0, delay, peak=0.3), coupled_rir(), gain=3.0,
+                      delay=delay / FS)
+    row = run_scene(scene, IdentityAhs(), frame_size=frame_size)
+    ref = reference_run(scene, IdentityAhs(), frame_size)
+    assert ref[4] is not None  # the loop howls, so the clip and the scan both act
+    assert_matches_reference(row, ref)
+
+
+@pytest.mark.parametrize("kept", [[2, 1], [0, 2]])
+def test_stack_cut_mid_span_equals_per_hop_reference(kept):
+    # frame_size 32 puts the cut inside the 64-sample span of the shortest
+    # delay; dropping that row lets the next span grow to the next delay's
+    scenes = [LoopScene(noise_signal(0.5, dly, peak=0.3), coupled_rir(c), gain=g,
+                        delay=dly / FS)
+              for dly, c, g in ((64, 0.5, 1.0), (2401, 3.0, 2.0), (4000, 3.0, 0.6))]
+    engine = ClosedLoop(scenes, IdentityAhs(), frame_size=32)
+    for _ in range(75):
+        engine.step_frame()
+    head = engine.result()
+    engine.keep(kept)
+    while engine.frames_done < engine.total_frames:
+        engine.step_frame()
+    for row, scene in zip(head, scenes):
+        assert_matches_reference(row, reference_run(scene, IdentityAhs(), 32), upto=75 * 32)
+    for row, r in zip(engine.result(), kept):
+        assert_matches_reference(row, reference_run(scenes[r], IdentityAhs(), 32))
+
+
+def test_nan_from_the_suppressor_mid_span_poisons_the_same_sample():
+    at, delay = 3000, 2401  # spans start at 0, 2368, 4736: both ends fall inside one
+    scene = LoopScene(noise_signal(0.5, 8, peak=0.3), coupled_rir(), gain=0.5,
+                      delay=delay / FS)
+    row = run_scene(scene, _NanAt(at))
+    ref = reference_run(scene, _NanAt(at), 64)
+    assert np.isnan(ref[1][at + delay]) and np.isfinite(ref[1][:at + delay]).all()
+    assert_matches_reference(row, ref)
+    # and as one row of a stack, beside a row the NaN never reaches
+    rows = run_scene([scene, replace(scene, gain=0.7)], _NanAt(at))
+    assert_matches_reference(rows[0], ref)
+    assert_matches_reference(rows[1], reference_run(replace(scene, gain=0.7), IdentityAhs(), 64))

@@ -182,7 +182,7 @@ def test_streaming_equals_lfilter_bitwise(taps, n, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(fir_taps(), min_size=1, max_size=4), st.booleans(), st.integers(1, 400),
+@given(st.lists(fir_taps(), min_size=1, max_size=4), st.booleans(), st.integers(1, 40 * 64),
        st.data())
 def test_row_streams_equal_lfilter_bitwise_before_and_after_keep(paths, shared, n, data):
     """Stack rows, each with its own path or all sharing one (a gain sweep)."""
@@ -200,6 +200,67 @@ def test_row_streams_equal_lfilter_bitwise_before_and_after_keep(paths, shared, 
         assert head[r].tobytes() == lfilter_stream(paths[r], [x[r, :cut]]).tobytes()
     for i, r in enumerate(kept):
         assert tail[i].tobytes() == lfilter_stream(paths[r], [x[r]])[cut:].tobytes()
+
+
+# one chunk under, at and over a block, a full span, over a span, and
+# several spans with a tail
+SPAN_LENGTHS = (63, 64, 65, 32 * 64, 32 * 64 + 1, 100 * 64 + 17)
+
+
+def span_paths(rows):
+    rng = np.random.default_rng(rows)
+    rir = generate_rir(RoomSpec(**ROOM, rt60=0.3, max_rir_len=1024))
+    return [rir.taps] + [np.where(rng.random(m) < 0.3, rng.standard_normal(m), 0.0)
+                         for m in (37, 300)][:rows - 1]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("n", SPAN_LENGTHS)
+def test_one_multi_block_chunk_equals_hops_and_lfilter_bitwise(rows, n):
+    paths = span_paths(rows)
+    rirs = [Rir(t, 16000) for t in paths]
+    x = np.random.default_rng(n).standard_normal((rows, 2 * n))
+    if rows == 1:  # a single Rir streams 1-D chunks
+        rirs, x = rirs[0], x[0]
+    whole, hops = StreamingConvolver(rirs), StreamingConvolver(rirs)
+    # a warm state first, then the chunk under test
+    got = np.concatenate([whole.process(x[..., :n]), whole.process(x[..., n:])], axis=-1)
+    by_hop = np.concatenate([hops.process(x[..., lo:lo + 64]) for lo in range(0, 2 * n, 64)],
+                            axis=-1)
+    assert got.tobytes() == by_hop.tobytes()
+    got, x = np.atleast_2d(got), np.atleast_2d(x)
+    for r, taps in enumerate(paths):
+        assert got[r].tobytes() == lfilter_stream(taps, [x[r, :n], x[r, n:]]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_mid_span_poisons_like_lfilter(bad):
+    paths = span_paths(3)
+    x = np.random.default_rng(9).standard_normal((3, 100 * 64 + 17))
+    x[1, 20 * 64 + 5] = bad      # mid-way through the first span
+    x[2, 40 * 64] = bad          # first sample of a block in the second span
+    conv = StreamingConvolver([Rir(t, 16000) for t in paths])
+    got = np.concatenate([conv.process(x[:, :5000]), conv.process(x[:, 5000:])], axis=1)
+    for r, taps in enumerate(paths):
+        want = lfilter_stream(taps, [x[r]])
+        assert np.isfinite(want).all() == (r == 0)
+        assert np.array_equal(got[r], want, equal_nan=True)
+
+
+def test_keep_between_two_span_calls():
+    paths = span_paths(3)
+    x = np.random.default_rng(4).standard_normal((3, 2 * 37 * 64))
+    x[0, 100] = np.nan
+    conv = StreamingConvolver([Rir(t, 16000) for t in paths])
+    head = conv.process(x[:, :37 * 64])
+    conv.keep([2, 0])
+    tail = conv.process(x[[2, 0], 37 * 64:])
+    for r in range(3):
+        assert np.array_equal(head[r], lfilter_stream(paths[r], [x[r, :37 * 64]]),
+                              equal_nan=True)
+    for i, r in enumerate([2, 0]):
+        assert np.array_equal(tail[i], lfilter_stream(paths[r], [x[r]])[37 * 64:],
+                              equal_nan=True)
 
 
 def test_non_finite_input_poisons_every_later_output_like_lfilter():
