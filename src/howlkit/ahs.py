@@ -9,7 +9,9 @@ suppressor bit for bit.
 
 The processor rebuilds its own loudspeaker reference: playback is the
 processor's past output, amplified, delayed and clipped exactly the way the
-loop does it, so no second capture channel is needed.  Between
+loop does it, so no second capture channel is needed.  The loop delay fixes
+that reference a span ahead (the most whole hops within the shortest row
+delay), so the mirror transforms a span's reference frames at once.  Between
 begin_window() and end_window() every per-frame intermediate is recorded,
 and the window loss is backpropagated through the mask application, the
 covariance injection and (unless stop_grad_filter is set) the Kalman
@@ -21,7 +23,7 @@ import copy
 import numpy as np
 
 from .fdkf import ClassicalCovariances, CovariancePair, FdkfConfig, KalmanFilter
-from .loop import DelayLine
+from .loop import delayed
 from .nets import HiddenState, mask_apply, normalize_log_power
 from .signals import StftConfig, StreamingIstft, StreamingStft, log_power
 
@@ -32,7 +34,8 @@ class KalmanAhs:
     Call it with one hop of microphone samples, get one hop of output;
     ``latency`` declares the fixed analysis/synthesis delay.  ``gain``,
     ``delay_samples`` and ``sat`` must match the loop the processor runs in —
-    they drive the internal loudspeaker mirror.
+    they drive the internal loudspeaker mirror, which turns the processor's
+    own output into reference frames (and mask-net features) a span at a time.
 
     Tuples of ``gain``, ``delay_samples`` and ``sat``, one value per row,
     build a multi-row processor: one independent stream per row, called
@@ -83,8 +86,14 @@ class KalmanAhs:
         self._stft_y = StreamingStft(stft_cfg, rows)
         self._stft_x = StreamingStft(stft_cfg, rows)
         self._istft = StreamingIstft(stft_cfg, rows)
-        self._mirror = DelayLine(self.delay_samples)
-        self._x_prev = np.zeros(self.filt.X_hist.shape[:-1], dtype=np.complex128)
+        # each row's clipped playback over the longest delay, then this span's outputs
+        self._span = self._x_next = int(np.min(delay_samples)) // stft_cfg.hop
+        size = int(np.max(delay_samples)) + self._span * stft_cfg.hop
+        self._played = np.zeros(self.filt.W.shape[:-2] + (size,))
+        self._x_frames = self._x_feats = None
+        # the previous reference frame's mask-net feature, zeros at the start
+        self._x_feat = (normalize_log_power(log_power(np.zeros(self.filt.W.shape[:-1])))
+                        if mask_net is not None else None)
         self._mask_state = mask_net.init_state(rows) if mask_net is not None else None
         self._vv_state = vv_net.init_state(rows) if vv_net is not None else None
         self._dd_state = dd_net.init_state(rows) if dd_net is not None else None
@@ -107,11 +116,11 @@ class KalmanAhs:
         self.gain = self.gain[rows]
         self.sat = self.sat[rows]
         self.delay_samples = tuple(self.delay_samples[i] for i in rows)
-        for part in (self.filt, self._stft_y, self._stft_x, self._istft, self._mirror,
-                     self._classical):
+        for part in (self.filt, self._stft_y, self._stft_x, self._istft, self._classical):
             if part is not None:
                 part.keep(rows)
-        self._x_prev = self._x_prev[rows]
+        self._played, self._x_frames, self._x_feats, self._x_feat = _take(
+            (self._played, self._x_frames, self._x_feats, self._x_feat), rows)
         self._mask_state, self._vv_state, self._dd_state = _take(
             (self._mask_state, self._vv_state, self._dd_state), rows)
         if self._tape is not None:
@@ -123,10 +132,29 @@ class KalmanAhs:
 
     def __call__(self, chunk):
         """One hop in, one hop out, mirroring the loudspeaker internally."""
-        x_chunk = self._mirror.peek(self.cfg.hop)
-        out = self.step_open(chunk, x_chunk)
-        self._mirror.push(np.minimum(np.maximum(self.gain * out, -self.sat), self.sat))
+        if self._x_next == self._span:
+            self._mirror_span()
+        j = self._x_next
+        feat = None if self._x_feats is None else self._x_feats[..., j, :]
+        out = self._process_hop(chunk, self._x_frames[..., j, :], feat)
+        start = self._played.shape[-1] - (self._span - j) * self.cfg.hop
+        self._played[..., start:start + self.cfg.hop] = out
+        self._x_next = j + 1
         return out
+
+    def _mirror_span(self):
+        """Clip the last span's outputs, then transform the next span's reference frames."""
+        played, hop = self._played, self.cfg.hop
+        now, span = played.shape[-1], self._span * hop
+        last = played[..., now - span:]
+        np.minimum(np.maximum(np.multiply(self.gain, last, out=last), -self.sat, out=last),
+                   self.sat, out=last)
+        heard = delayed(np.atleast_2d(played), now, span, np.atleast_1d(self.delay_samples))
+        played[..., :now - span] = played[..., span:]
+        self._x_frames = self._stft_x.push(heard.reshape(played.shape[:-1] + (self._span, hop)))
+        self._x_next = 0
+        if self.mask_net is not None:
+            self._x_feats = normalize_log_power(log_power(self._x_frames))
 
     def step_open(self, y_chunk, x_chunk):
         """Process one hop with an externally supplied loudspeaker chunk.
@@ -135,19 +163,16 @@ class KalmanAhs:
         frozen inputs.  Normal use is __call__, which reconstructs the
         loudspeaker chunk from the processor's own output history.
         """
-        y_frame = self._stft_y.push(np.asarray(y_chunk, dtype=np.float64))
         x_frame = self._stft_x.push(np.asarray(x_chunk, dtype=np.float64))
-        s_hat = self._process_frame(y_frame, x_frame)
-        return self._istft.push(s_hat)
+        feat = None if self.mask_net is None else normalize_log_power(log_power(x_frame))
+        return self._process_hop(y_chunk, x_frame, feat)
 
-    def _process_frame(self, y_frame, x_raw):
+    def _process_hop(self, y_chunk, x_raw, x_feat):
+        y_frame = self._stft_y.push(np.asarray(y_chunk, dtype=np.float64))
         filt = self.filt
         mcache = None
         if self.mask_net is not None:
-            feat = np.concatenate([
-                normalize_log_power(log_power(y_frame)),
-                normalize_log_power(log_power(self._x_prev)),
-            ], axis=-1)
+            feat = np.concatenate([normalize_log_power(log_power(y_frame)), self._x_feat], axis=-1)
             m, self._mask_state, mcache = self.mask_net.step(feat, self._mask_state)
             ref = mask_apply(m, y_frame)
         else:
@@ -160,10 +185,10 @@ class KalmanAhs:
         vcache = dcache = rss = None
         if self.vv_net is not None:
             vv, self._vv_state, vcache = self.vv_net.step(np.abs(s_hat), self._vv_state)
-            rss = np.sqrt(np.sum(W_pre.real**2 + W_pre.imag**2, axis=-1))
+            rss = np.sqrt(np.add.reduce(W_pre.real**2 + W_pre.imag**2, axis=-1))
             dd_out, self._dd_state, dcache = self.dd_net.step(rss, self._dd_state)
-            taps = self.fcfg.num_taps
-            cov = CovariancePair(vv, np.repeat((dd_out / taps)[..., None], taps, axis=-1))
+            # one column per bin, broadcast over the taps in update
+            cov = CovariancePair(vv, (dd_out / self.fcfg.num_taps)[..., None])
         else:
             cov = self._classical(s_hat, filt)
 
@@ -175,13 +200,14 @@ class KalmanAhs:
             # mutates afterwards, so references suffice
             self._tape.append({
                 "y": y_frame, "mcache": mcache,
-                "hist": filt.X_hist,
+                "hist": filt.X_hist, "xpow": filt.X_pow,
+                "denom": filt.denom, "inv_denom": filt.inv_denom,
                 "W": W_pre, "P": P_pre, "s_hat": s_hat, "K": K,
-                "vv": cov.psi_vv, "vcache": vcache, "dcache": dcache, "rss": rss,
+                "vcache": vcache, "dcache": dcache, "rss": rss,
                 "pos": filt.P > 0,
             })
-        self._x_prev = x_raw
-        return s_hat
+        self._x_feat = x_feat
+        return self._istft.push(s_hat)
 
     # ------------------------------------------------------------- training
 
@@ -210,13 +236,13 @@ class KalmanAhs:
         if not tape:
             raise ValueError("window is empty")
         targets = np.asarray(target_mags, dtype=np.float64)
-        shape = (len(tape),) + self._x_prev.shape
+        shape = (len(tape),) + self.filt.W.shape[:-1]
         if targets.shape != shape:
             raise ValueError(f"targets must have shape {shape}, got {targets.shape}")
         s_mags = np.abs(np.array([e["s_hat"] for e in tape]))
         diff = s_mags - targets
         # each row's (frames, bins) block laid out contiguously, as alone
-        per_row = np.moveaxis(np.abs(diff), 0, -2).reshape(self._x_prev.shape[:-1] + (-1,))
+        per_row = np.moveaxis(np.abs(diff), 0, -2).reshape(shape[1:-1] + (-1,))
         loss = np.mean(per_row, axis=-1)
         loss = float(loss) if self.rows is None else loss
         if not want_grads:
@@ -233,7 +259,7 @@ class KalmanAhs:
         """
         fcfg = self.fcfg
         A, A2, alpha = fcfg.A, fcfg.A**2, fcfg.alpha
-        taps, eps, beta = fcfg.num_taps, fcfg.eps, fcfg.beta
+        taps, beta = fcfg.num_taps, fcfg.beta
 
         rows = self.rows
         attached = [(name, net, key) for name, net, key in (
@@ -258,7 +284,7 @@ class KalmanAhs:
                 gW[:] = 0.0
                 gP[:] = 0.0
             X = e["hist"]
-            W, P, K, s_hat, vv = e["W"], e["P"], e["K"], e["s_hat"], e["vv"]
+            W, P, K, s_hat = e["W"], e["P"], e["K"], e["s_hat"]
             s_mag = s_mags[k]
             unit = np.where(s_mag > 0, 1.0 / np.maximum(s_mag, 1e-300), 0.0) * s_hat
             gS = gmag[k] * unit
@@ -280,11 +306,10 @@ class KalmanAhs:
             gK += gW_new * np.conj(s_hat)[..., None]
             gS = gS + A * np.sum(gW * conj_K, axis=-1)
 
-            # gain K = P conj(X) / (sum |X|^2 P + vv + eps)
-            xpow = X.real**2 + X.imag**2
-            denom = np.sum(xpow * P, axis=-1) + vv + eps
+            # gain K = P conj(X) / (sum |X|^2 P + vv + eps), as taped
+            xpow, denom = e["xpow"], e["denom"]
             PX = P * X  # conj(P conj(X))
-            g_t1 = gK / denom[..., None]
+            g_t1 = gK * e["inv_denom"][..., None]
             gdenom = -np.sum((gK * PX).real, axis=-1) / (denom * denom)
             gP_new += (g_t1 * X).real
             gP_new += gdenom[..., None] * xpow

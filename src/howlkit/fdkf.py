@@ -7,9 +7,9 @@ most recent reference frames, so the near-end estimate for bin b is
 
 W tracks the path, P is its error covariance kept diagonal (one nonnegative
 value per bin and tap), and X_hist holds the last L reference frames, newest
-first.  Observation and process covariances (psi_vv, psi_dd) are supplied
-fresh every frame — from the closed-form source below, or from learned
-estimators.
+first, with their powers |X|^2 in X_pow.  Observation and process
+covariances (psi_vv, psi_dd) are supplied fresh every frame — from the
+closed-form source below, or from learned estimators.
 
 A filter built with ``rows`` tracks that many independent streams at once:
 every array above gains a leading row axis and every reduction runs over
@@ -56,7 +56,8 @@ class FdkfConfig:
 
 @dataclass(frozen=True)
 class CovariancePair:
-    """Per-frame noise covariances: psi_vv per bin, psi_dd per bin and tap.
+    """Per-frame noise covariances: psi_vv per bin, psi_dd per bin and tap,
+    or per bin as a (..., bins, 1) column that broadcasts over the taps.
 
     A non-finite value raises ArithmeticError (a numeric failure; the CLI
     exits 4), a negative one ValueError.
@@ -68,7 +69,8 @@ class CovariancePair:
     def __post_init__(self):
         for name, arr in (("psi_vv", self.psi_vv), ("psi_dd", self.psi_dd)):
             # one min/max pass; NaN, +-inf and negatives all fail it
-            if arr.size == 0 or (arr.min() >= 0 and arr.max() < np.inf):
+            if arr.size == 0 or (np.minimum.reduce(arr, axis=None) >= 0
+                                 and np.maximum.reduce(arr, axis=None) < np.inf):
                 continue
             if not np.all(np.isfinite(arr)):
                 raise ArithmeticError(f"{name} must be finite")
@@ -79,7 +81,8 @@ class KalmanFilter:
     """Stateful per-bin Kalman recursion; one instance per audio stream.
 
     Call order per frame: push_reference(X_k), predict(Y_k), gain(cov),
-    update(K, S_hat, cov).
+    update(K, S_hat, cov).  gain leaves its denominator and the reciprocal
+    in ``denom`` and ``inv_denom``, for training tapes.
     """
 
     def __init__(self, cfg: FdkfConfig, rows: Optional[int] = None):
@@ -88,6 +91,7 @@ class KalmanFilter:
         self.W = np.zeros(shape, dtype=np.complex128)
         self.P = np.full(shape, cfg.p_init, dtype=np.float64)
         self.X_hist = np.zeros(shape, dtype=np.complex128)
+        self.X_pow = np.zeros(shape)
         # covariance floor hits per row, for diagnostics
         self.clamps = np.zeros(shape[:-2], dtype=np.int64)
 
@@ -98,8 +102,8 @@ class KalmanFilter:
 
     def keep(self, rows):
         """Continue with only these rows, in this order."""
-        self.W, self.P, self.X_hist, self.clamps = (
-            a[rows] for a in (self.W, self.P, self.X_hist, self.clamps))
+        self.W, self.P, self.X_hist, self.X_pow, self.clamps = (
+            a[rows] for a in (self.W, self.P, self.X_hist, self.X_pow, self.clamps))
 
     def _check_frame(self, frame, name):
         frame = np.asarray(frame)
@@ -108,27 +112,28 @@ class KalmanFilter:
         return frame
 
     def push_reference(self, x_new):
-        """Place the new frame at slot 0 and every older frame one slot later.
+        """Place the new frame at slot 0 and every older frame one slot later,
+        in X_hist and X_pow; only the new frame's power is computed.
 
-        Builds a fresh array, never a shift in place: training tapes keep the
+        Builds fresh arrays, never a shift in place: training tapes keep the
         previous history by reference.
         """
-        hist = np.empty_like(self.X_hist)
-        hist[..., 1:] = self.X_hist[..., :-1]
-        hist[..., 0] = self._check_frame(x_new, "reference frame")
-        self.X_hist = hist
+        new = self._check_frame(x_new, "reference frame")
+        hist, power = np.empty_like(self.X_hist), np.empty_like(self.X_pow)
+        hist[..., 1:], power[..., 1:] = self.X_hist[..., :-1], self.X_pow[..., :-1]
+        hist[..., 0], power[..., 0] = new, new.real**2 + new.imag**2
+        self.X_hist, self.X_pow = hist, power
 
     def predict(self, y):
         """Near-end estimate: microphone frame minus the modelled feedback."""
         y = self._check_frame(y, "microphone frame")
-        return y - np.sum(self.X_hist * self.W, axis=-1)
+        return y - np.add.reduce(self.X_hist * self.W, axis=-1)
 
     def gain(self, cov: CovariancePair) -> np.ndarray:
-        """Kalman gain per bin and tap."""
-        x = self.X_hist
-        x_pow = x.real**2 + x.imag**2
-        denom = np.sum(x_pow * self.P, axis=-1) + cov.psi_vv + self.cfg.eps
-        return (self.P * np.conj(x)) / denom[..., None]
+        """Kalman gain per bin and tap, by the reciprocal of its denominator."""
+        denom = np.add.reduce(self.X_pow * self.P, axis=-1) + cov.psi_vv + self.cfg.eps
+        self.denom, self.inv_denom = denom, 1.0 / denom
+        return (self.P * np.conj(self.X_hist)) * self.inv_denom[..., None]
 
     def update(self, K, s_hat, cov: CovariancePair):
         """Advance W and P one frame; P is floored at zero (counted)."""
@@ -137,7 +142,7 @@ class KalmanFilter:
         decay = 1.0 - self.cfg.alpha * (K * self.X_hist).real
         P = (A * A) * decay * self.P + cov.psi_dd
         neg = P < 0
-        if np.any(neg):
+        if neg.any():
             self.clamps += np.count_nonzero(neg, axis=(-2, -1))
             P[neg] = 0.0
         self.P = P

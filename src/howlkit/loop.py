@@ -177,52 +177,13 @@ def _howl_scan(samples: np.ndarray, det: HowlDetectorConfig, carry):
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1), run[:, -1]
 
 
-class DelayLine:
-    """Fixed-occupancy FIFO: peek the oldest samples, then push replacements.
-
-    Given a list of lengths, one per row, it holds that many independent
-    lines, advanced together with (rows, count) chunks.  The lines share a
-    buffer as long as the longest, written at one position, and a shorter
-    line reads that many samples nearer to it.
-    """
-
-    def __init__(self, length):
-        lengths = np.asarray(length, dtype=np.intp)
-        size = int(lengths.max())
-        self._buf = np.zeros(lengths.shape + (size,))
-        self._pos = 0
-        # per-row read offsets, or None when every row has the full length
-        skip = (size - lengths).reshape(-1, 1)
-        self._skip = skip if skip.any() else None
-
-    def keep(self, rows):
-        """Continue with only these rows, in this order."""
-        self._buf = self._buf[rows]
-        if self._skip is not None:
-            self._skip = self._skip[rows]
-
-    def peek(self, count: int) -> np.ndarray:
-        buf, pos = self._buf, self._pos
-        size = buf.shape[-1]
-        if self._skip is not None:
-            if count > size - self._skip.max():
-                raise ValueError("cannot peek past the line length")
-            return np.take_along_axis(buf, (pos + self._skip + np.arange(count)) % size, axis=-1)
-        if count > size:
-            raise ValueError("cannot peek past the line length")
-        wrap = pos + count - size
-        if wrap <= 0:
-            return buf[..., pos:pos + count].copy()
-        return np.concatenate((buf[..., pos:], buf[..., :wrap]), axis=-1)
-
-    def push(self, chunk: np.ndarray):
-        buf, pos = self._buf, self._pos
-        size, count = buf.shape[-1], chunk.shape[-1]
-        head = min(count, size - pos)
-        buf[..., pos:pos + head] = chunk[..., :head]
-        if head < count:
-            buf[..., :count - head] = chunk[..., head:]
-        self._pos = (pos + count) % size
+def delayed(x, t, span, delays):
+    """Samples [t, t + span) of each row of ``x`` delayed by its row's delay, +0.0 before 0."""
+    heard = np.zeros((len(x), span))
+    for row, dly in enumerate(delays):
+        lo = t - dly
+        heard[row, max(0, -lo):] = x[row, max(0, lo):max(0, lo + span)]
+    return heard
 
 
 class ClosedLoop:
@@ -380,11 +341,7 @@ class ClosedLoop:
         dly = min(sc.delay_samples for sc in self._row_scenes)
         span = min(dly - dly % self.frame_size, self.y.shape[-1] - t)
         sl = slice(t, t + span)
-        x = np.atleast_2d(self.x)
-        heard = np.zeros((len(x), span))
-        for row, sc in enumerate(self._row_scenes):
-            lo = t - sc.delay_samples
-            heard[row, max(0, -lo):] = x[row, max(0, lo):max(0, lo + span)]
+        heard = delayed(np.atleast_2d(self.x), t, span, [s.delay_samples for s in self._row_scenes])
         d = self.d[..., sl]
         d[...] = self._conv.process(heard[0] if self.rows is None else heard)
         if self.rows is None:

@@ -35,11 +35,10 @@ def normalize_log_power(log_pow: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x):
-    # exp(-|x|) never overflows; each branch is 1/(1+exp(-x)) for x >= 0 and
-    # exp(x)/(1+exp(x)) below, element for element
+    # exp(-|x|) never overflows; the numerator picks 1/(1+exp(-x)) for
+    # x >= 0 and exp(x)/(1+exp(x)) below, element for element, with one division
     ex = np.exp(-np.abs(x))
-    den = 1.0 + ex
-    return np.where(x >= 0, 1.0 / den, ex / den)
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _softplus(x):

@@ -125,10 +125,17 @@ def stft(signal: TimeSignal, cfg: StftConfig) -> np.ndarray:
     x = signal.samples
     if len(x) < cfg.frame_len:
         raise ValueError(f"signal too short: {len(x)} samples < frame_len {cfg.frame_len}")
-    count = num_frames(len(x), cfg)
-    idx = np.arange(cfg.frame_len)[None, :] + cfg.hop * np.arange(count)[:, None]
-    frames = x[idx] * cfg.analysis_window[None, :]
-    return np.fft.rfft(frames, axis=1)
+    return _analyse(x, num_frames(len(x), cfg), cfg.hop, cfg.analysis_window)
+
+
+def _analyse(samples: np.ndarray, count: int, hop: int, window: np.ndarray) -> np.ndarray:
+    """Transforms of ``count`` windowed frames of samples, ``hop`` apart: (..., count, bins)."""
+    if count == 1:
+        return np.fft.rfft(samples[..., None, :len(window)] * window)
+    # a hop that passes the COLA check divides the frame, so a frame is whole hops
+    hops = samples[..., :(count - 1) * hop + len(window)].reshape(samples.shape[:-1] + (-1, hop))
+    frames = np.concatenate([hops[..., b:b + count, :] for b in range(len(window) // hop)], axis=-1)
+    return np.fft.rfft(np.multiply(frames, window, out=frames))
 
 
 def istft(frames: np.ndarray, cfg: StftConfig) -> TimeSignal:
@@ -167,13 +174,14 @@ def log_power(frame: np.ndarray, floor: float = 1e-12) -> np.ndarray:
 
 
 class StreamingStft:
-    """Hop-synchronous analysis: push one hop of samples, get one frame.
+    """Hop-synchronous analysis: push hops of samples, get one frame per hop.
 
     Frame m produced after pushing hop chunk m covers samples
     [(m-1)*hop, (m+1)*hop) with zero history before the stream start, i.e.
-    streaming frame m equals batch stft frame m-1 for m >= 1.  With ``rows``
-    it analyses that many streams at once: (rows, hop) chunks in,
-    (rows, num_bins) frames out.
+    streaming frame m equals batch stft frame m-1 for m >= 1.  k successive
+    hops pushed as (k, hop) give the (k, num_bins) frames of k pushes.  With
+    ``rows`` it analyses that many streams at once: (rows, hop) or
+    (rows, k, hop) chunks in, (rows, num_bins) or (rows, k, num_bins) out.
     """
 
     def __init__(self, cfg: StftConfig, rows: Optional[int] = None):
@@ -186,12 +194,17 @@ class StreamingStft:
         self._buf = self._buf[rows]
 
     def push(self, chunk: np.ndarray) -> np.ndarray:
-        hop = self.cfg.hop
-        if chunk.shape[-1] != hop:
-            raise ValueError(f"chunk must be one hop ({hop}), got {chunk.shape[-1]}")
-        self._buf[..., :-hop] = self._buf[..., hop:]
+        hop, lead = self.cfg.hop, self._buf.shape[:-1]
+        many = chunk.ndim == len(lead) + 2
+        if chunk.shape[-1] != hop or chunk.shape[:len(lead)] != lead or chunk.ndim > len(lead) + 2:
+            raise ValueError(f"chunk must be whole hops of {hop} per row, got {chunk.shape}")
+        if many:  # the last frame_len - hop samples, then the new hops
+            stream = np.concatenate((self._buf[..., hop:], chunk.reshape(lead + (-1,))), axis=-1)
+            self._buf = stream[..., -self.cfg.frame_len:].copy()
+            return _analyse(stream, chunk.shape[-2], hop, self._win)
+        self._buf[..., :-hop] = self._buf[..., hop:]  # in place: no fresh array per hop
         self._buf[..., -hop:] = chunk
-        return np.fft.rfft(self._buf * self._win)
+        return _analyse(self._buf, 1, hop, self._win)[..., 0, :]
 
 
 class StreamingIstft:

@@ -200,3 +200,19 @@ def per_hop_closed_loop(target, taps, gain, delay, sat, ahs, frame_size, amp_thr
             if howl is None and run > run_length:
                 howl = i
     return y, d, s_hat, x, howl
+
+
+def fifo_loudspeaker(x, delay, frame_size):
+    """The loudspeaker stream a suppressor in the loop hears, in plain form.
+
+    A FIFO of ``delay`` zeros: each hop pops its oldest ``frame_size``
+    samples, which the suppressor hears, then takes that hop's loudspeaker
+    samples from ``x``.  Returns the popped stream, truncated to whole hops.
+    """
+    n = len(x) - len(x) % frame_size
+    fifo = deque([0.0] * delay)
+    heard = np.zeros(n)
+    for t in range(0, n, frame_size):
+        heard[t:t + frame_size] = [fifo.popleft() for _ in range(frame_size)]
+        fifo.extend(x[t:t + frame_size])
+    return heard

@@ -9,11 +9,11 @@ from scipy.signal import lfilter
 
 from howlkit.ahs import KalmanAhs
 from howlkit.fdkf import FdkfConfig
-from howlkit.loop import LoopScene, run_scene
+from howlkit.loop import ClosedLoop, LoopScene, run_scene
 from howlkit.nets import LstmNet, make_cov_dd_net, make_cov_vv_net, make_mask_net
 from howlkit.rooms import Rir, RoomSpec, generate_rir
 from howlkit.signals import StftConfig, TimeSignal
-from oracles import per_frame_weight_grads
+from oracles import fifo_loudspeaker, per_frame_weight_grads
 
 FS = 16000
 
@@ -108,21 +108,107 @@ def test_gain_zero_is_delayed_passthrough():
     assert sdr > 60.0
 
 
-def test_mirror_matches_loop_loudspeaker():
-    # reprocessing the recorded scene open-loop, feeding the loudspeaker
-    # samples the loop actually produced, must reproduce the closed-loop
-    # output bit for bit — the internal mirror and the simulator agree
-    scene = LoopScene(speech_like(1.0, 6), scaled_room_rir(), gain=1.5, delay=0.15)
-    ahs = KalmanAhs.for_scene(scene)
-    res = run_scene(scene, ahs)
+# ------------------------------------------------------ loudspeaker mirror
+# The processor mirrors its own loudspeaker a span of hops ahead.  Replaying
+# a run open-loop, fed the loop's loudspeaker stream through a plain FIFO of
+# the loop delay, must give the closed-loop output bit for bit.
 
-    replay = KalmanAhs.for_scene(scene)
-    dly = scene.delay_samples
-    x_seen = np.concatenate([np.zeros(dly), res.x])[: len(res.x)]
+
+def assert_mirror_replays(result, **kwargs):
+    """A fresh processor for ``result``'s gain, delay and clip, driven by
+    step_open with the FIFO-delayed loudspeaker stream, reproduces it."""
+    replay = KalmanAhs(result.gain, result.delay_samples, **kwargs)
+    heard = fifo_loudspeaker(result.x, result.delay_samples, replay.cfg.hop)
     hop = replay.cfg.hop
-    for t in range(0, len(res.y), hop):
-        out = replay.step_open(res.y[t: t + hop], x_seen[t: t + hop])
-        np.testing.assert_array_equal(out, res.s_hat[t: t + hop])
+    out = np.concatenate([replay.step_open(result.y[t:t + hop], heard[t:t + hop])
+                          for t in range(0, len(result.y), hop)])
+    assert out.tobytes() == result.s_hat.tobytes()
+
+
+def default_nets():
+    bins = StftConfig().num_bins
+    return {"mask_net": LstmNet(2 * bins, (8,), bins, "sigmoid", seed=3),
+            "vv_net": LstmNet(bins, (8,), bins, "softplus", seed=4),
+            "dd_net": LstmNet(bins, (8,), bins, "softplus", seed=5)}
+
+
+def test_mirror_matches_loop_loudspeaker():
+    # a 0.15 s delay is 2400 samples, 37.5 hops: off the hop grid
+    scene = LoopScene(speech_like(1.0, 6), scaled_room_rir(), gain=1.5, delay=0.15)
+    res = run_scene(scene, KalmanAhs.for_scene(scene))
+    assert res.delay_samples % 64 and np.max(np.abs(res.x)) > 0.1
+    assert_mirror_replays(res)
+
+
+def test_mirror_off_the_hop_grid_matches_fifo():
+    for dly in (64, 127, 2401, 4000):
+        scene = LoopScene(speech_like(0.6, 11), scaled_room_rir(), gain=2.0, delay=dly / FS)
+        res = run_scene(scene, KalmanAhs.for_scene(scene))
+        assert res.delay_samples == dly
+        assert_mirror_replays(res)
+
+
+@pytest.mark.parametrize("delays", [(64, 2401, 4000), (2401, 4000, 3203)],
+                         ids=["span1", "span37"])
+def test_mirror_stack_cut_mid_span_matches_fifo(delays):
+    # the shortest delay sets the span (1 and 37 hops); a keep at hop 50
+    # falls mid-span for the second stack, and the kept rows go on
+    scenes = [LoopScene(speech_like(0.8, 12 + i), scaled_room_rir(), gain=g, delay=d / FS)
+              for i, (g, d) in enumerate(zip((1.5, 2.0, 2.5), delays))]
+    engine = ClosedLoop(scenes, KalmanAhs.for_scene(scenes))
+    for _ in range(50):
+        engine.step_frame()
+    engine.keep([2, 0])
+    while engine.frames_done < engine.total_frames:
+        engine.step_frame()
+    kept = engine.result()
+    assert [r.delay_samples for r in kept] == [delays[2], delays[0]]
+    for res in kept:
+        assert_mirror_replays(res)
+
+
+@pytest.mark.parametrize("case", ["gain0", "sat1e-6", "sat1e6", "silence"])
+def test_mirror_edge_values_match_fifo(case):
+    source = speech_like(0.6, 13)
+    gain, sat = {"gain0": (0.0, 1.0), "sat1e-6": (2.5, 1e-6), "sat1e6": (2.5, 1e6),
+                 "silence": (2.5, 1.0)}[case]
+    if case == "silence":
+        source = TimeSignal(np.zeros(len(source)), FS)
+    scene = LoopScene(source, scaled_room_rir(), gain=gain, delay=0.16, sat=sat)
+    res = run_scene(scene, KalmanAhs.for_scene(scene))
+    assert np.max(np.abs(res.x)) <= sat
+    if case == "silence":
+        assert not np.any(res.s_hat)
+    assert_mirror_replays(res, sat=sat)
+
+
+def test_mirror_snapshot_mid_span_restores_twice():
+    ahs = KalmanAhs(2.0, 2401, sat=0.5)  # spans of 37 hops
+    y = speech_like(0.8, 14).samples
+    hops = [y[t:t + 64] for t in range(0, 120 * 64, 64)]
+    head = [ahs(chunk) for chunk in hops[:50]]
+    snap = ahs.snapshot()
+    tail = [ahs(chunk) for chunk in hops[50:]]
+    for _ in range(2):
+        ahs.restore(snap)
+        again = [ahs(chunk) for chunk in hops[50:]]
+        assert np.array_equal(again, tail)
+    out = np.concatenate(head + tail)
+    heard = fifo_loudspeaker(np.minimum(np.maximum(2.0 * out, -0.5), 0.5), 2401, 64)
+    replay = KalmanAhs(2.0, 2401, sat=0.5)
+    got = [replay.step_open(chunk, heard[k * 64:(k + 1) * 64]) for k, chunk in enumerate(hops)]
+    assert np.concatenate(got).tobytes() == out.tobytes()
+
+
+def test_mirror_neural_variant_matches_fifo():
+    nets = default_nets()
+    scene = LoopScene(speech_like(0.8, 15), scaled_room_rir(), gain=2.0, delay=0.17)
+    res = run_scene(scene, KalmanAhs.for_scene(scene, **nets))
+    assert_mirror_replays(res, **nets)
+    # a stack's rows mirror their own delays with the nets attached too
+    stack = [scene, replace(scene, gain=1.5, delay=0.2)]
+    for row in run_scene(stack, KalmanAhs.for_scene(stack, **nets)):
+        assert_mirror_replays(row, **nets)
 
 
 def test_deterministic_and_ablation_outputs_distinct():

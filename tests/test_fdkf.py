@@ -120,6 +120,56 @@ def test_push_reference_ring_semantics():
     np.testing.assert_array_equal(deep.X_hist[0], [5.0, 4.0, 3.0])
 
 
+def test_reference_power_is_computed_once_per_frame():
+    filt = KalmanFilter(FdkfConfig(num_bins=3, num_taps=4), rows=2)
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        old = filt.X_pow
+        filt.push_reference(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+        assert filt.X_pow is not old  # tapes keep the previous array
+        want = filt.X_hist.real**2 + filt.X_hist.imag**2
+        assert filt.X_pow.tobytes() == want.tobytes()
+    filt.keep([1])
+    assert filt.X_pow.tobytes() == (filt.X_hist.real**2 + filt.X_hist.imag**2).tobytes()
+
+
+def test_gain_reciprocal_equals_division():
+    cfg = FdkfConfig(num_bins=5, num_taps=3)
+    filt = KalmanFilter(cfg)
+    rng = np.random.default_rng(9)
+    for _ in range(4):
+        filt.push_reference(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+    filt.P = rng.uniform(0.0, 2.0, (5, 3))
+    cov = const_cov(cfg, 0.3, 0.0)
+    K = filt.gain(cov)
+    x = filt.X_hist
+    denom = np.sum((x.real**2 + x.imag**2) * filt.P, axis=-1) + 0.3 + cfg.eps
+    np.testing.assert_array_equal(K, (filt.P * np.conj(x)) / denom[..., None])
+    np.testing.assert_array_equal(filt.denom, denom)
+    np.testing.assert_array_equal(filt.inv_denom, 1.0 / denom)
+
+
+def test_update_broadcasts_a_per_bin_process_noise_column():
+    cfg = FdkfConfig(num_bins=4, num_taps=3)
+    rng = np.random.default_rng(10)
+    column = rng.uniform(0.0, 0.01, (2, 4, 1))
+    column[0, 1, 0] = 0.0
+    filters = [KalmanFilter(cfg, rows=2) for _ in range(2)]
+    for filt in filters:
+        filt.W = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+        filt.push_reference(np.full((2, 4), 1.0 - 0.5j))
+    filters[1].W, filters[1].X_hist = filters[0].W.copy(), filters[0].X_hist.copy()
+    K = 0.9 * rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+    s_hat = rng.standard_normal((2, 4)) + 0j
+    vv = np.full((2, 4), 0.1)
+    filters[0].update(K, s_hat, CovariancePair(vv, column))
+    filters[1].update(K, s_hat, CovariancePair(vv, np.repeat(column, 3, axis=-1)))
+    for name in ("W", "P", "clamps"):
+        assert getattr(filters[0], name).tobytes() == getattr(filters[1], name).tobytes()
+    with pytest.raises(ValueError, match="psi_dd must be nonnegative"):
+        CovariancePair(vv, -column)
+
+
 def test_classical_covariances_zero_inputs():
     cfg = FdkfConfig(num_bins=4, num_taps=2)
     cov = ClassicalCovariances(cfg)(np.zeros(4, dtype=complex), KalmanFilter(cfg))

@@ -8,7 +8,6 @@ import pytest
 
 from howlkit.loop import (
     ClosedLoop,
-    DelayLine,
     HowlDetectorConfig,
     IdentityAhs,
     LoopScene,
@@ -166,42 +165,6 @@ def test_detector_quiet_chunk_closes_an_open_run():
     assert first is None and carry == 0
     first, carry = _howl_scan(np.full(64, 1.5), HowlDetectorConfig(), 99)
     assert first == 1 and carry == 163
-
-
-def test_delay_line_matches_modular_index_reference():
-    rng = np.random.default_rng(5)
-    line, ref, pos = DelayLine(10), np.zeros(10), 0
-    for count in (3, 4, 10, 7, 1, 10, 9, 2, 6, 5):
-        idx = (pos + np.arange(count)) % 10
-        np.testing.assert_array_equal(line.peek(count), ref[idx])
-        chunk = rng.standard_normal(count)
-        line.push(chunk)
-        ref[idx] = chunk
-        pos = (pos + count) % 10
-        np.testing.assert_array_equal(line._buf, ref)
-        assert line._pos == pos
-
-
-def test_per_row_delay_line_matches_modular_index_reference():
-    # lines of 10, 7 and 4 samples in one buffer: each row is its own FIFO
-    rng = np.random.default_rng(6)
-    lengths = (10, 7, 4)
-    line = DelayLine(lengths)
-    refs, pos = [np.zeros(n) for n in lengths], [0, 0, 0]
-    for count in (3, 4, 1, 2, 4, 4, 3, 1, 4, 2, 4, 3):
-        chunk = rng.standard_normal((3, count))
-        peeked = line.peek(count)
-        for r, n in enumerate(lengths):
-            idx = (pos[r] + np.arange(count)) % n
-            np.testing.assert_array_equal(peeked[r], refs[r][idx])
-            refs[r][idx] = chunk[r]
-            pos[r] = (pos[r] + count) % n
-        line.push(chunk)
-    with pytest.raises(ValueError, match="line length"):
-        line.peek(5)
-    line.keep([2, 0])
-    np.testing.assert_array_equal(line.peek(4), [refs[2][(pos[2] + np.arange(4)) % 4],
-                                                 refs[0][(pos[0] + np.arange(4)) % 10]])
 
 
 def test_detector_negative_excursions_count():

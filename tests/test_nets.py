@@ -7,6 +7,7 @@ from howlkit.nets import (
     FEATURE_SCALE,
     FEATURE_SHIFT,
     LstmNet,
+    _sigmoid,
     finite_difference_grads,
     grad_check,
     load_params,
@@ -24,6 +25,15 @@ def zeroed(net):
     for k in net.params:
         net.params[k][:] = 0.0
     return net
+
+
+def test_sigmoid_one_division_equals_two_branch_form():
+    grid = np.array([0.0, 1e-300, 1.0, 30.0, 745.0, np.inf])
+    x = np.concatenate([grid, -grid, [np.nan]])
+    ex = np.exp(-np.abs(x))
+    den = 1.0 + ex
+    two_branch = np.where(x >= 0, 1.0 / den, ex / den)
+    assert _sigmoid(x).tobytes() == two_branch.tobytes()
 
 
 def test_zero_weights_sigmoid_gives_half():

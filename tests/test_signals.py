@@ -148,6 +148,26 @@ def test_streaming_stft_matches_batch():
         np.testing.assert_array_equal(frames[m], batch[m - 1])
 
 
+@pytest.mark.parametrize("rows", [None, 3])
+def test_streaming_stft_multi_hop_push_equals_one_hop_pushes(rows):
+    # a push of k hops gives the k frames of k one-hop pushes, bit for bit
+    rng = np.random.default_rng(6)
+    lead = () if rows is None else (rows,)
+    x = rng.standard_normal(lead + (64 * 16,))
+    one, many = StreamingStft(CFG, rows), StreamingStft(CFG, rows)
+    want = np.stack([one.push(x[..., i * 64:(i + 1) * 64]) for i in range(16)], axis=-2)
+    got, t = [], 0
+    for k in (1, 3, 5, 1, 6):
+        chunk = x[..., t:t + 64 * k].reshape(lead + (k, 64))
+        got.append(many.push(chunk))
+        assert got[-1].shape == lead + (k, 65)
+        t += 64 * k
+    assert np.concatenate(got, axis=-2).tobytes() == want.tobytes()
+    for bad in (np.zeros(lead + (63,)), np.zeros((2,) + lead + (1, 64))):
+        with pytest.raises(ValueError, match="whole hops"):
+            many.push(bad)
+
+
 def test_streaming_roundtrip_is_pure_delay():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(64 * 20)
