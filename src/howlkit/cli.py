@@ -18,17 +18,15 @@ import dataclasses
 import json
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
-from .ahs import KalmanAhs
 from .config import RunConfig
-from .loop import IdentityAhs, run_scene, save_scene_result
+from .loop import IdentityAhs, LoopScene, run_scene, save_scene_result
 from .metrics import evaluate, spectrogram_pgm
-from .rooms import RoomSpec, generate_rir, sabine_min_rt60
+from .rooms import Rir, RoomSpec, generate_rir, sabine_min_rt60
 from .signals import ConfigError, TimeSignal
-from .training import load_checkpoint, train
+from .training import build_ahs, draw_room, load_checkpoint, train
 from .wavio import read_wav, write_wav
 
 EXIT_OK = 0
@@ -65,13 +63,6 @@ def _out_dir(args, cfg: RunConfig) -> str:
     return out
 
 
-def _load_nets(cfg: RunConfig, checkpoint: str):
-    """Checkpoint nets when a path is given, fresh config nets otherwise."""
-    if checkpoint:
-        return load_checkpoint(checkpoint)
-    return cfg.nets()
-
-
 def _build_suppressor_factory(cfg: RunConfig, variant: str, nets=None,
                               no_mask=False, no_cov=False):
     """Return factory(scene) -> suppressor for a closed-loop run.
@@ -83,15 +74,11 @@ def _build_suppressor_factory(cfg: RunConfig, variant: str, nets=None,
         return lambda scene: IdentityAhs()
     stft_cfg = cfg.stft()
     fdkf_cfg = cfg.fdkf()
-    kwargs = {}
+    kept = {}
     if variant == "neuralkalman":
-        kwargs = {
-            "mask_net": None if no_mask else nets.get("mask"),
-            "vv_net": None if no_cov else nets.get("vv"),
-            "dd_net": None if no_cov else nets.get("dd"),
-        }
-    return lambda scene: KalmanAhs.for_scene(scene, stft_cfg=stft_cfg,
-                                             fdkf_cfg=fdkf_cfg, **kwargs)
+        kept = {name: net for name, net in nets.items()
+                if not (no_mask and name == "mask" or no_cov and name in ("vv", "dd"))}
+    return lambda scene: build_ahs(kept, scene, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg)
 
 
 def _check_count(value: int, flag: str):
@@ -143,97 +130,78 @@ def cmd_simulate(args) -> None:
 
 def cmd_suppress(args) -> None:
     cfg = _effective_config(args)
-    checkpoint = args.checkpoint or cfg.paths()["checkpoint"]
+    stft_cfg = cfg.stft()
+    fs = stft_cfg.sample_rate
+    knobs = cfg.loop_knobs()
+    gain = knobs["gain"] if args.gain is None else args.gain
+    if args.in_path:
+        sig = read_wav(args.in_path, expect_rate=fs)
+        n = len(sig.samples)
+        if n < stft_cfg.frame_len:
+            raise ValueError(f"input {args.in_path} has {n} samples, fewer than "
+                             f"one {stft_cfg.frame_len}-sample frame")
+        # a recording is a scene whose feedback path is silent; the
+        # suppressor still mirrors the configured gain, delay and clip
+        hop = stft_cfg.hop
+        padded = np.zeros(-(-n // hop) * hop)
+        padded[:n] = sig.samples
+        scene = LoopScene(TimeSignal(padded, fs), Rir(np.zeros(1), fs), gain=gain,
+                          delay=knobs["delay"], sat=knobs["sat"])
+    else:
+        duration = args.duration if args.duration is not None else knobs["duration"]
+        scene = cfg.sampler("test", duration=duration).scene(args.scene, gain=gain)
+    if scene.delay_samples < stft_cfg.hop:
+        raise ConfigError(f"loop delay of {scene.delay_samples} samples is shorter "
+                          f"than one {stft_cfg.hop}-sample hop")
     nets = None
     if args.variant == "neuralkalman":
-        nets = _load_nets(cfg, checkpoint)
-    factory = _build_suppressor_factory(
-        cfg, args.variant, nets=nets, no_mask=args.no_mask, no_cov=args.no_cov)
-
-    if args.in_path:
-        _suppress_wav(args, cfg, factory)
-    else:
-        _suppress_scene(args, cfg, factory)
-
-
-def _suppress_wav(args, cfg: RunConfig, factory) -> None:
-    """Open-loop pass over a recorded microphone signal, one hop at a time."""
-    stft_cfg = cfg.stft()
-    knobs = cfg.loop_knobs()
-    sig = read_wav(args.in_path, expect_rate=stft_cfg.sample_rate)
-    if len(sig.samples) < stft_cfg.frame_len:
-        raise ValueError(f"input {args.in_path} has {len(sig.samples)} samples, fewer than "
-                         f"one {stft_cfg.frame_len}-sample frame")
+        checkpoint = args.checkpoint or cfg.paths()["checkpoint"]
+        nets = load_checkpoint(checkpoint) if checkpoint else cfg.nets()
+    ahs = _build_suppressor_factory(
+        cfg, args.variant, nets=nets, no_mask=args.no_mask, no_cov=args.no_cov)(scene)
     out = _out_dir(args, cfg)
-    gain = knobs["gain"] if args.gain is None else args.gain
-    delay_samples = int(round(knobs["delay"] * stft_cfg.sample_rate))
-    # the factory reads the loop geometry off a scene-shaped object
-    mirror = SimpleNamespace(gain=gain, delay_samples=delay_samples,
-                             sat=knobs["sat"])
-    ahs = factory(mirror)
-
-    hop = stft_cfg.hop
-    n = len(sig.samples)
-    padded = np.zeros(((n + hop - 1) // hop) * hop)
-    padded[:n] = sig.samples
-    chunks = [np.asarray(ahs(padded[k: k + hop]), dtype=np.float64)
-              for k in range(0, len(padded), hop)]
-    s_hat = np.concatenate(chunks)[:n] if chunks else np.zeros(0)
-    _check_finite(s_hat, "suppressor")
-
-    out_wav = os.path.join(out, "s_hat.wav")
-    write_wav(out_wav, s_hat, stft_cfg.sample_rate, fmt=args.wav_format)
-    spectrogram_pgm(sig, os.path.join(out, "input.pgm"), stft_cfg)
-    spectrogram_pgm(TimeSignal(s_hat, stft_cfg.sample_rate),
-                    os.path.join(out, "s_hat.pgm"), stft_cfg)
-    manifest = {
-        "mode": "wav",
-        "input": os.path.abspath(args.in_path),
-        "variant": args.variant,
-        "gain": gain,
-        "delay_samples": delay_samples,
-        "latency": getattr(ahs, "latency", 0),
-        "files": {"s_hat": "s_hat.wav",
-                  "spectrograms": ["input.pgm", "s_hat.pgm"]},
-    }
-    with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-    print(f"wrote {out_wav}")
-
-
-def _suppress_scene(args, cfg: RunConfig, factory) -> None:
-    """Closed-loop run over one synthetic scene."""
-    stft_cfg = cfg.stft()
-    knobs = cfg.loop_knobs()
-    duration = args.duration if args.duration is not None else knobs["duration"]
-    sampler = cfg.sampler("test", duration=duration)
-    gain = knobs["gain"] if args.gain is None else args.gain
-    scene = sampler.scene(args.scene, gain=gain)
-    out = _out_dir(args, cfg)
-    result = run_scene(scene, factory(scene), det=cfg.detector())
+    result = run_scene(scene, ahs, det=cfg.detector(), frame_size=stft_cfg.hop)
     _check_finite(result.s_hat, "suppressor")
 
-    save_scene_result(result, out, "scene")
-    spectrogram_pgm(TimeSignal(result.y, stft_cfg.sample_rate),
-                    os.path.join(out, "scene_y.pgm"), stft_cfg)
-    spectrogram_pgm(TimeSignal(result.s_hat, stft_cfg.sample_rate),
-                    os.path.join(out, "scene_s_hat.pgm"), stft_cfg)
-    manifest = {
-        "mode": "synthetic",
-        "scene_index": args.scene,
-        "variant": args.variant,
-        "gain": gain,
-        "howl_event": result.howl_event,
-        "latency": result.ahs_latency,
-        "files": {"result": "scene_manifest.json",
-                  "spectrograms": ["scene_y.pgm", "scene_s_hat.pgm"]},
-    }
+    if args.in_path:
+        s_hat = result.s_hat[:n]
+        out_wav = os.path.join(out, "s_hat.wav")
+        write_wav(out_wav, s_hat, fs, fmt=args.wav_format)
+        spectrogram_pgm(sig, os.path.join(out, "input.pgm"), stft_cfg)
+        spectrogram_pgm(TimeSignal(s_hat, fs), os.path.join(out, "s_hat.pgm"), stft_cfg)
+        manifest = {
+            "mode": "wav",
+            "input": os.path.abspath(args.in_path),
+            "variant": args.variant,
+            "gain": gain,
+            "delay_samples": scene.delay_samples,
+            "latency": result.ahs_latency,
+            "files": {"s_hat": "s_hat.wav",
+                      "spectrograms": ["input.pgm", "s_hat.pgm"]},
+        }
+        printed = f"wrote {out_wav}"
+    else:
+        save_scene_result(result, out, "scene")
+        spectrogram_pgm(TimeSignal(result.y, fs), os.path.join(out, "scene_y.pgm"), stft_cfg)
+        spectrogram_pgm(TimeSignal(result.s_hat, fs), os.path.join(out, "scene_s_hat.pgm"),
+                        stft_cfg)
+        manifest = {
+            "mode": "synthetic",
+            "scene_index": args.scene,
+            "variant": args.variant,
+            "gain": gain,
+            "howl_event": result.howl_event,
+            "latency": result.ahs_latency,
+            "files": {"result": "scene_manifest.json",
+                      "spectrograms": ["scene_y.pgm", "scene_s_hat.pgm"]},
+        }
+        howl = ("no howl" if result.howl_event is None
+                else "howled at sample %d" % result.howl_event)
+        printed = f"scene {args.scene} variant={args.variant} gain={gain:.3g}: {howl}"
     with open(os.path.join(out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
-    howl = "howled at sample %d" % result.howl_event if result.howl_event is not None else "no howl"
-    print(f"scene {args.scene} variant={args.variant} gain={gain:.3g}: {howl}")
+    print(printed)
 
 
 def cmd_rir(args) -> None:
@@ -245,11 +213,7 @@ def cmd_rir(args) -> None:
     rng = np.random.default_rng([cfg.seed, 3])
     rows = []
     for i in range(args.count):
-        dims = rng.uniform((4.0, 3.0, 2.5), (8.0, 6.0, 3.5))
-        src = dims * rng.uniform(0.12, 0.88, 3)
-        mic = dims * rng.uniform(0.12, 0.88, 3)
-        while np.linalg.norm(src - mic) < 1.0:
-            mic = dims * rng.uniform(0.12, 0.88, 3)
+        dims, src, mic = draw_room(rng)
         rt60 = rng.uniform(*trainer.rt60_range)
         rt60 = max(rt60, 1.05 * sabine_min_rt60(dims))
         spec = RoomSpec(tuple(dims), tuple(src), tuple(mic), rt60, sample_rate=fs)
@@ -287,11 +251,12 @@ def cmd_train(args) -> None:
     if args.duration is not None:
         tcfg = dataclasses.replace(tcfg, duration=args.duration)
 
+    stft_cfg = cfg.stft()
     corpus_dir = args.corpus or cfg.paths()["corpus_dir"]
     if args.synthetic:
         utterances = None
     elif corpus_dir:
-        utterances = _load_corpus(corpus_dir, cfg.stft().sample_rate)
+        utterances = _load_corpus(corpus_dir, stft_cfg.sample_rate)
     else:
         raise ConfigError("train needs --synthetic or a corpus (--corpus/paths.corpus_dir)")
 
@@ -300,13 +265,17 @@ def cmd_train(args) -> None:
     # test split stays untouched for final evaluation
     val_sampler = cfg.sampler("test", duration=tcfg.duration,
                               seed=cfg.seed + 17, utterances=utterances)
+    shortest = round(tcfg.delay_range[0] * stft_cfg.sample_rate)
+    if tcfg.t_bptt * stft_cfg.hop > shortest:
+        raise ConfigError(f"trainer.t_bptt window ({tcfg.t_bptt} frames x {stft_cfg.hop} "
+                          f"samples) exceeds the shortest loop delay ({shortest} samples)")
     out = _out_dir(args, cfg)
     nets = cfg.nets()
     log_path = os.path.join(out, "train_log.jsonl")
     print(f"training {'+'.join(sorted(nets))} for {tcfg.epochs} epochs "
           f"x {tcfg.scenes_per_epoch} scenes (log: {log_path})")
     nets, events = train(nets, sampler, tcfg, val_sampler=val_sampler,
-                         log_path=log_path, checkpoint_dir=out, stft_cfg=cfg.stft(),
+                         log_path=log_path, checkpoint_dir=out, stft_cfg=stft_cfg,
                          fdkf_cfg=cfg.fdkf(), det=cfg.detector())
     aborts = sum(1 for e in events if e.howl_abort)
     nans = sum(e.nan_events for e in events)
@@ -322,10 +291,7 @@ def cmd_eval(args) -> None:
     _check_count(args.scenes, "--scenes")
     cfg = _effective_config(args)
     duration = args.duration if args.duration is not None else cfg.loop_knobs()["duration"]
-    sampler = cfg.sampler("test", duration=duration)
-    out = _out_dir(args, cfg)
-    scenes = sampler.scenes(args.scenes)
-
+    scenes = cfg.sampler("test", duration=duration).scenes(args.scenes)
     variants = {
         "none": _build_suppressor_factory(cfg, "none"),
         "kalman": _build_suppressor_factory(cfg, "kalman"),
@@ -335,6 +301,7 @@ def cmd_eval(args) -> None:
         nets = load_checkpoint(checkpoint)
         variants["neuralkalman"] = _build_suppressor_factory(
             cfg, "neuralkalman", nets=nets)
+    out = _out_dir(args, cfg)
 
     gains = tuple(args.gains) if args.gains else (1.5, 2.0, 2.5, 3.0)
     report = evaluate(scenes, variants, gains=gains, det=cfg.detector(),
@@ -386,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("suppress", help="run one suppressor variant")
     _add_common(p)
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--in", dest="in_path", help="input microphone WAV (open loop)")
+    src.add_argument("--in", dest="in_path", help="input microphone WAV (silent feedback path)")
     src.add_argument("--synthetic", action="store_true",
                      help="run inside a synthetic closed-loop scene")
     p.add_argument("--variant", choices=VARIANTS, default="kalman")

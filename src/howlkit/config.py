@@ -10,7 +10,12 @@ Sections:
     stft      framing (see signals.StftConfig)
     fdkf      filter sizes and recursion constants (fdkf.FdkfConfig)
     detector  howling test (loop.HowlDetectorConfig)
-    loop      scalar scene knobs: gain, delay, sat, duration
+    loop      scalar scene knobs.  gain: suppress's loop gain when --gain
+              is not given (simulate and eval sample theirs).  delay, sat:
+              the loop suppress --in mirrors (synthetic scenes draw their
+              delay from trainer.delay_range and clip at 1.0).  duration:
+              scene length of simulate, suppress --synthetic and eval when
+              --duration is not given.
     neural    mask network size and wiring: mask_hidden, stop_grad_filter,
               seed
     trainer   training hyperparameters and sampling ranges

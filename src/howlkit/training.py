@@ -232,6 +232,20 @@ class TrainConfig:
 _SPLIT_TAGS = {"train": 1, "test": 2}
 
 
+def draw_room(rng):
+    """Draw shoebox dimensions and two points in it at least 1 m apart.
+
+    Returns (dims, first, second), drawn in that order from ``rng``; the
+    second point is redrawn until it is far enough from the first.
+    """
+    dims = rng.uniform((4.0, 3.0, 2.5), (8.0, 6.0, 3.5))
+    first = dims * rng.uniform(0.12, 0.88, 3)
+    second = dims * rng.uniform(0.12, 0.88, 3)
+    while np.linalg.norm(second - first) < 1.0:
+        second = dims * rng.uniform(0.12, 0.88, 3)
+    return dims, first, second
+
+
 class SceneSampler:
     """Seeded generator of amplification scenes with disjoint splits.
 
@@ -306,18 +320,10 @@ class SceneSampler:
         without disturbing any other draw."""
         fs = self.sample_rate
         rng = np.random.default_rng([self.seed, _SPLIT_TAGS[self.split], int(index)])
-        dims = rng.uniform((4.0, 3.0, 2.5), (8.0, 6.0, 3.5))
-
-        def draw_pos():
-            return dims * rng.uniform(0.12, 0.88, 3)
-
-        mic = draw_pos()
-        spk = draw_pos()
-        while np.linalg.norm(spk - mic) < 1.0:
-            spk = draw_pos()
-        talker = draw_pos()
+        dims, mic, spk = draw_room(rng)
+        talker = dims * rng.uniform(0.12, 0.88, 3)
         while np.linalg.norm(talker - mic) < 0.5:
-            talker = draw_pos()
+            talker = dims * rng.uniform(0.12, 0.88, 3)
 
         rt60 = rng.uniform(*self.rt60_range)
         # Sabine puts a floor on how dead a room of this size can be; lift the

@@ -216,3 +216,17 @@ def fifo_loudspeaker(x, delay, frame_size):
         heard[t:t + frame_size] = [fifo.popleft() for _ in range(frame_size)]
         fifo.extend(x[t:t + frame_size])
     return heard
+
+
+def per_hop_open_loop(samples, ahs, hop):
+    """A recorded microphone signal suppressed hop by hop, in plain form.
+
+    Zero-pads the samples to whole hops, calls the suppressor once per hop
+    and truncates the output to the input length.
+    """
+    n = len(samples)
+    padded = np.zeros(-(-n // hop) * hop)
+    padded[:n] = samples
+    chunks = [np.asarray(ahs(padded[k:k + hop]), dtype=np.float64)
+              for k in range(0, len(padded), hop)]
+    return np.concatenate(chunks)[:n]

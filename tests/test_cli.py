@@ -1,5 +1,6 @@
 """Command-line paths: artifacts, determinism, ablation wiring, exit codes."""
 
+import hashlib
 import json
 import os
 import warnings
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 import howlkit.cli as cli
+from howlkit.ahs import KalmanAhs
 from howlkit.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from howlkit.config import RunConfig
-from howlkit.training import save_checkpoint
+from howlkit.training import SceneSampler, save_checkpoint
 from howlkit.wavio import read_wav, write_wav
+from oracles import per_hop_open_loop
 
 
 def run(*argv):
@@ -22,6 +25,11 @@ def run(*argv):
 def read_bytes(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def write_config(path, data):
+    path.write_text(json.dumps(data))
+    return path
 
 
 TINY_TRAIN = {
@@ -55,6 +63,32 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     path.write_text('{"stft": {"hopp": 1}}')
     assert run("simulate", "--config", path, "--out", tmp_path / "o") == EXIT_CONFIG
     assert "stft.hopp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, data, code", [
+    (["eval", "--checkpoint", "{tmp}/nope", "--scenes", 1, "--duration", 0.5], {}, EXIT_IO),
+    # a delay of 0.08 samples rounds to none: LoopScene refuses the drawn scene
+    (["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2"],
+     {"trainer": {"delay_range": [0.0, 5e-6]}}, EXIT_CONFIG),
+    (["train", "--synthetic"], dict(TINY_TRAIN, trainer=dict(
+        TINY_TRAIN["trainer"], delay_range=[0.01, 0.02])), EXIT_CONFIG),
+    (["train", "--synthetic"], dict(TINY_TRAIN, trainer=dict(
+        TINY_TRAIN["trainer"], t_bptt=64)), EXIT_CONFIG),
+    (["suppress", "--in", "{tmp}/mic.wav"], {"loop": {"delay": 0.002}}, EXIT_CONFIG),
+    (["suppress", "--in", "{tmp}/mic.wav", "--variant", "none"],
+     {"loop": {"delay": 0.002}}, EXIT_CONFIG),
+    (["suppress", "--synthetic", "--duration", 0.5],
+     {"trainer": {"delay_range": [0.002, 0.003]}}, EXIT_CONFIG),
+], ids=["eval-missing-checkpoint", "eval-zero-delay-scene", "train-short-delay",
+        "train-long-window", "suppress-in-short-delay", "suppress-in-none-short-delay",
+        "suppress-synthetic-short-delay"])
+def test_refused_runs_write_nothing(tmp_path, capsys, argv, data, code):
+    write_wav(tmp_path / "mic.wav", np.full(2000, 0.1), 16000, fmt="float32")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    argv = [str(a).replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(*argv, "--config", cfg, "--out", tmp_path / "o") == code
+    capsys.readouterr()
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------- simulate
@@ -213,6 +247,109 @@ def test_non_finite_covariance_is_a_numeric_failure(tmp_path, capsys):
     assert "psi_vv must be finite" in capsys.readouterr().err
 
 
+def noise_wav(path, n, seed=0, fmt="float32"):
+    write_wav(path, 0.3 * np.random.default_rng(seed).standard_normal(n), 16000, fmt=fmt)
+    return path
+
+
+@pytest.mark.parametrize("variant, gain, loop", [
+    ("kalman", 2.0, {}),
+    ("neuralkalman", 2.0, {}),
+    ("kalman", 2.0, {"delay": 0.1503}),
+    ("neuralkalman", 0.0, {"delay": 0.1503}),
+    ("kalman", 3.0, {}),
+    ("neuralkalman", 3.0, {"sat": 1e-6}),
+])
+def test_open_loop_matches_the_per_hop_oracle(tmp_path, capsys, variant, gain, loop):
+    # 5037 samples are not a whole number of 64-sample hops
+    wav = noise_wav(tmp_path / "mic.wav", 5037, seed=8)
+    cfg = write_config(tmp_path / "loop.json", {"loop": loop})
+    out = tmp_path / "sup"
+    assert run("suppress", "--in", wav, "--config", cfg, "--variant", variant,
+               "--gain", gain, "--out", out) == EXIT_OK
+    capsys.readouterr()
+    knobs = RunConfig({"loop": loop}).loop_knobs()
+    nets = RunConfig().nets() if variant == "neuralkalman" else {}
+    ahs = KalmanAhs(gain, int(round(knobs["delay"] * 16000)), sat=knobs["sat"],
+                    mask_net=nets.get("mask"), vv_net=nets.get("vv"), dd_net=nets.get("dd"))
+    write_wav(tmp_path / "want.wav", per_hop_open_loop(read_wav(wav).samples, ahs, 64),
+              16000, fmt="float32")
+    assert read_bytes(out / "s_hat.wav") == read_bytes(tmp_path / "want.wav")
+
+
+def test_open_loop_passthrough_clears_the_sign_of_negative_zero(tmp_path, capsys):
+    # the microphone hears y = s + d, and a silent feedback path gives d = +0.0
+    x = 0.3 * np.random.default_rng(2).standard_normal(3000)
+    x[::7] = -0.0
+    wav = tmp_path / "mic.wav"
+    write_wav(wav, x, 16000, fmt="float32")
+    out = tmp_path / "sup"
+    assert run("suppress", "--in", wav, "--out", out, "--variant", "none") == EXIT_OK
+    capsys.readouterr()
+    x, got = read_wav(wav).samples, read_wav(out / "s_hat.wav").samples
+    assert np.signbit(x[::7]).all()
+    assert np.array_equal(got, x)
+    assert np.array_equal(np.signbit(got), np.signbit(x) & (x != 0))
+
+
+def test_suppress_steps_the_loop_one_configured_hop_at_a_time(tmp_path, capsys):
+    cfg = write_config(tmp_path / "wide.json", {"stft": {"frame_len": 256, "hop": 128},
+                                                "fdkf": {"num_bins": 129}})
+    wav = noise_wav(tmp_path / "mic.wav", 3000, seed=6)
+    assert run("suppress", "--synthetic", "--config", cfg, "--duration", 0.5,
+               "--out", tmp_path / "syn") == EXIT_OK
+    assert run("suppress", "--in", wav, "--config", cfg, "--out", tmp_path / "wav") == EXIT_OK
+    capsys.readouterr()
+    assert len(read_wav(tmp_path / "wav" / "s_hat.wav").samples) == 3000
+
+
+def test_loop_delay_and_sat_reach_suppress_in_but_not_simulate(tmp_path, capsys):
+    wav = noise_wav(tmp_path / "mic.wav", 5000, seed=4)
+
+    def outputs(name, loop):
+        cfg = write_config(tmp_path / f"{name}.json", {"loop": loop})
+        sup, sim = tmp_path / f"{name}_sup", tmp_path / f"{name}_sim"
+        assert run("suppress", "--in", wav, "--config", cfg, "--out", sup) == EXIT_OK
+        assert run("simulate", "--config", cfg, "--count", 1, "--duration", 0.5,
+                   "--gain", 3, "--out", sim) == EXIT_OK
+        capsys.readouterr()
+        return (read_bytes(sup / "s_hat.wav"),
+                [read_bytes(sim / f"scene000_{name}.wav") for name in ("y", "x")])
+
+    base_sup, base_sim = outputs("base", {})
+    for name, loop in (("delay", {"delay": 0.1503}), ("sat", {"sat": 0.25})):
+        sup, sim = outputs(name, loop)
+        assert sup != base_sup, name
+        assert sim == base_sim, name
+
+
+def test_loop_gain_is_the_default_suppress_gain(tmp_path, capsys):
+    wav = noise_wav(tmp_path / "mic.wav", 5000, seed=5)
+    cfg = write_config(tmp_path / "gain.json", {"loop": {"gain": 1.25}})
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert run("suppress", "--in", wav, "--config", cfg, "--out", a) == EXIT_OK
+    assert run("suppress", "--in", wav, "--gain", 1.25, "--out", b) == EXIT_OK
+    assert run("suppress", "--synthetic", "--config", cfg, "--duration", 0.5,
+               "--out", c) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads((a / "manifest.json").read_text())["gain"] == 1.25
+    assert read_bytes(a / "s_hat.wav") == read_bytes(b / "s_hat.wav")
+    assert json.loads((c / "manifest.json").read_text())["gain"] == 1.25
+    assert json.loads((c / "scene_manifest.json").read_text())["gain"] == 1.25
+
+
+def test_simulate_without_gain_keeps_the_sampled_gain(tmp_path, capsys):
+    cfg = write_config(tmp_path / "gain.json", {"loop": {"gain": 1.25}})
+    out = tmp_path / "sim"
+    assert run("simulate", "--config", cfg, "--count", 2, "--duration", 0.5,
+               "--out", out) == EXIT_OK
+    capsys.readouterr()
+    sampler = RunConfig().sampler("test", duration=0.5)
+    gains = [row["gain"] for row in json.loads((out / "manifest.json").read_text())["scenes"]]
+    assert gains == [sampler.scene(i).gain for i in range(2)]
+    assert 1.25 not in gains
+
+
 # ---------------------------------------------------------------- rir
 
 
@@ -234,6 +371,24 @@ def test_rir_batch_is_deterministic(tmp_path, capsys):
         assert read_bytes(a / row["file"]) == read_bytes(b / row["file"])
         taps = read_wav(a / row["file"])
         assert len(taps.samples) == row["taps"]
+
+
+def test_room_draws_keep_their_bits(tmp_path, capsys):
+    # rir draws source then mic, a scene mic then loudspeaker; seed 18 and
+    # scene 25 each redraw their second point once
+    assert run("rir", "--out", tmp_path, "--count", 2, "--seed", 18) == EXIT_OK
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for name in ("manifest.json", "rir000.wav", "rir001.wav"):
+        digest.update(read_bytes(tmp_path / name))
+    assert digest.hexdigest() == "26c802e2e31dce0fb400142683985c04ca55bebf30e4370c1e1882dc249af6b0"
+    digest = hashlib.sha256()
+    sampler = SceneSampler(seed=4, split="test", duration=0.5)
+    for scene in (sampler.scene(24), sampler.scene(25)):
+        for samples in (scene.near_end.samples, scene.feedback_rir.taps, scene.near_rir.taps):
+            digest.update(samples.tobytes())
+        digest.update(repr((scene.gain, scene.delay)).encode())
+    assert digest.hexdigest() == "d67db927b7f4fd6f78a901d639f30d3345bcef0f9eb4a43c71840f321da9058d"
 
 
 # ---------------------------------------------------------------- train
@@ -275,13 +430,13 @@ def test_train_honours_the_stft_and_fdkf_sections(tmp_path, capsys):
 
 def test_train_builds_the_configured_filter(tmp_path, capsys, monkeypatch):
     built = []
-    real_init = cli.KalmanAhs.__init__
+    real_init = KalmanAhs.__init__
 
     def spy(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         built.append(self.filt.W.shape[-1])
 
-    monkeypatch.setattr(cli.KalmanAhs, "__init__", spy)
+    monkeypatch.setattr(KalmanAhs, "__init__", spy)
     data = dict(TINY_TRAIN, fdkf={"num_taps": 5})
     cfg = tmp_path / "taps.json"
     cfg.write_text(json.dumps(data))
