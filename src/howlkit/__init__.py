@@ -7,7 +7,7 @@ reference-mask refinement and covariance estimation, trained in streaming
 closed loop.
 """
 
-from .ahs import KalmanAhs
+from .ahs import KalmanAhs, SuppressorSpec
 from .fdkf import FdkfConfig, KalmanFilter
 from .loop import HowlDetectorConfig, IdentityAhs, LoopScene, SceneResult, run_scene
 from .metrics import EvalReport, evaluate, lsd, sdr, spectrogram_pgm
@@ -30,6 +30,7 @@ __all__ = [
     "RoomSpec",
     "SceneResult",
     "SceneSampler",
+    "SuppressorSpec",
     "StftConfig",
     "TimeSignal",
     "TrainConfig",

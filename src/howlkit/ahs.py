@@ -19,6 +19,7 @@ recursion itself, producing exact gradients for all attached networks.
 """
 
 import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,15 @@ from .fdkf import ClassicalCovariances, CovariancePair, FdkfConfig, KalmanFilter
 from .loop import delayed
 from .nets import HiddenState, mask_apply, normalize_log_power
 from .signals import StftConfig, StreamingIstft, StreamingStft, log_power
+
+
+@dataclass(frozen=True)
+class SuppressorSpec:
+    """The transform and filter a suppressor runs with: one filter recursion
+    per transform bin.  Trained nets are tied to it, so checkpoints record it."""
+
+    stft: StftConfig = StftConfig()
+    fdkf: FdkfConfig = FdkfConfig()
 
 
 class KalmanAhs:
@@ -43,17 +53,13 @@ class KalmanAhs:
     scenes hands them over.  Every array it keeps and records carries the
     leading row axis, every reduction runs over the last axis, and each row
     is bitwise the processor it would be alone, training windows included.
+    ``spec`` gives the transform and filter (``SuppressorSpec()`` when omitted).
     """
 
-    def __init__(self, gain, delay_samples, sat=1.0, stft_cfg=None, fdkf_cfg=None,
+    def __init__(self, gain, delay_samples, sat=1.0, spec=None,
                  mask_net=None, vv_net=None, dd_net=None, stop_grad_filter=False):
-        stft_cfg = stft_cfg if stft_cfg is not None else StftConfig()
-        fdkf_cfg = fdkf_cfg if fdkf_cfg is not None else FdkfConfig(num_bins=stft_cfg.num_bins)
-        if fdkf_cfg.num_bins != stft_cfg.num_bins:
-            raise ValueError(
-                f"filter expects {fdkf_cfg.num_bins} bins but the transform produces "
-                f"{stft_cfg.num_bins}"
-            )
+        spec = spec if spec is not None else SuppressorSpec()
+        stft_cfg, fdkf_cfg = spec.stft, spec.fdkf
         gains = np.asarray(gain, dtype=np.float64)
         if gains.ndim > 1 or gains.size == 0 or np.any(gains < 0):
             raise ValueError("gain must be nonnegative: one value or a nonempty tuple")
@@ -82,7 +88,7 @@ class KalmanAhs:
         self.stop_grad_filter = bool(stop_grad_filter)
         self.latency = stft_cfg.frame_len - stft_cfg.hop
 
-        self.filt = KalmanFilter(fdkf_cfg, rows)
+        self.filt = KalmanFilter(fdkf_cfg, stft_cfg.num_bins, rows)
         self._stft_y = StreamingStft(stft_cfg, rows)
         self._stft_x = StreamingStft(stft_cfg, rows)
         self._istft = StreamingIstft(stft_cfg, rows)
@@ -97,7 +103,8 @@ class KalmanAhs:
         self._mask_state = mask_net.init_state(rows) if mask_net is not None else None
         self._vv_state = vv_net.init_state(rows) if vv_net is not None else None
         self._dd_state = dd_net.init_state(rows) if dd_net is not None else None
-        self._classical = ClassicalCovariances(fdkf_cfg, rows) if vv_net is None else None
+        self._classical = (ClassicalCovariances(fdkf_cfg, stft_cfg.num_bins, rows)
+                           if vv_net is None else None)
         self._tape = None
 
     @classmethod

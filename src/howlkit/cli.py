@@ -72,13 +72,12 @@ def _build_suppressor_factory(cfg: RunConfig, variant: str, nets=None,
     """
     if variant == "none":
         return lambda scene: IdentityAhs()
-    stft_cfg = cfg.stft()
-    fdkf_cfg = cfg.fdkf()
+    spec = cfg.suppressor()
     kept = {}
     if variant == "neuralkalman":
         kept = {name: net for name, net in nets.items()
                 if not (no_mask and name == "mask" or no_cov and name in ("vv", "dd"))}
-    return lambda scene: build_ahs(kept, scene, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg)
+    return lambda scene: build_ahs(kept, scene, spec=spec)
 
 
 def _check_count(value: int, flag: str):
@@ -130,7 +129,7 @@ def cmd_simulate(args) -> None:
 
 def cmd_suppress(args) -> None:
     cfg = _effective_config(args)
-    stft_cfg = cfg.stft()
+    stft_cfg = cfg.suppressor().stft
     fs = stft_cfg.sample_rate
     knobs = cfg.loop_knobs()
     gain = knobs["gain"] if args.gain is None else args.gain
@@ -156,7 +155,7 @@ def cmd_suppress(args) -> None:
     nets = None
     if args.variant == "neuralkalman":
         checkpoint = args.checkpoint or cfg.paths()["checkpoint"]
-        nets = load_checkpoint(checkpoint) if checkpoint else cfg.nets()
+        nets = load_checkpoint(checkpoint, cfg.suppressor()) if checkpoint else cfg.nets()
     ahs = _build_suppressor_factory(
         cfg, args.variant, nets=nets, no_mask=args.no_mask, no_cov=args.no_cov)(scene)
     out = _out_dir(args, cfg)
@@ -209,7 +208,7 @@ def cmd_rir(args) -> None:
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
     trainer = cfg.trainer()
-    fs = cfg.stft().sample_rate
+    fs = cfg.suppressor().stft.sample_rate
     rng = np.random.default_rng([cfg.seed, 3])
     rows = []
     for i in range(args.count):
@@ -251,7 +250,7 @@ def cmd_train(args) -> None:
     if args.duration is not None:
         tcfg = dataclasses.replace(tcfg, duration=args.duration)
 
-    stft_cfg = cfg.stft()
+    stft_cfg = cfg.suppressor().stft
     corpus_dir = args.corpus or cfg.paths()["corpus_dir"]
     if args.synthetic:
         utterances = None
@@ -275,8 +274,8 @@ def cmd_train(args) -> None:
     print(f"training {'+'.join(sorted(nets))} for {tcfg.epochs} epochs "
           f"x {tcfg.scenes_per_epoch} scenes (log: {log_path})")
     nets, events = train(nets, sampler, tcfg, val_sampler=val_sampler,
-                         log_path=log_path, checkpoint_dir=out, stft_cfg=stft_cfg,
-                         fdkf_cfg=cfg.fdkf(), det=cfg.detector())
+                         log_path=log_path, checkpoint_dir=out, spec=cfg.suppressor(),
+                         det=cfg.detector())
     aborts = sum(1 for e in events if e.howl_abort)
     nans = sum(e.nan_events for e in events)
     losses = [e.loss for e in events if not e.howl_abort]
@@ -298,14 +297,14 @@ def cmd_eval(args) -> None:
     }
     checkpoint = args.checkpoint or cfg.paths()["checkpoint"]
     if checkpoint:
-        nets = load_checkpoint(checkpoint)
+        nets = load_checkpoint(checkpoint, cfg.suppressor())
         variants["neuralkalman"] = _build_suppressor_factory(
             cfg, "neuralkalman", nets=nets)
     out = _out_dir(args, cfg)
 
     gains = tuple(args.gains) if args.gains else (1.5, 2.0, 2.5, 3.0)
     report = evaluate(scenes, variants, gains=gains, det=cfg.detector(),
-                      stft_cfg=cfg.stft())
+                      stft_cfg=cfg.suppressor().stft)
     csv_path = os.path.join(out, "report.csv")
     with open(csv_path, "w") as f:
         f.write(report.to_csv())

@@ -8,7 +8,10 @@ are rejected outright — a typo should fail loudly, not silently fall back.
 Sections:
     seed      master seed for scene sampling and artifact generation
     stft      framing (see signals.StftConfig)
-    fdkf      filter sizes and recursion constants (fdkf.FdkfConfig)
+    fdkf      filter taps and recursion constants (fdkf.FdkfConfig), one
+              recursion per stft bin.  stft + fdkf are the suppressor spec
+              (RunConfig.suppressor): checkpoints record it, and eval and
+              suppress refuse a checkpoint recorded under another
     detector  howling test (loop.HowlDetectorConfig)
     loop      scalar scene knobs.  gain: suppress's loop gain when --gain
               is not given (simulate and eval sample theirs).  delay, sat:
@@ -27,6 +30,7 @@ import copy
 import json
 from dataclasses import asdict, replace
 
+from .ahs import SuppressorSpec
 from .fdkf import FdkfConfig
 from .loop import HowlDetectorConfig
 from .signals import ConfigError, StftConfig
@@ -76,14 +80,9 @@ class RunConfig:
     def __init__(self, data: dict = None):
         self.data = _merge(default_config(), data or {})
         # constructing the section objects validates their values eagerly
-        stft = self.stft()
-        fdkf = self.fdkf()
+        self.suppressor()
         self.detector()
         self.trainer()
-        if fdkf.num_bins != stft.num_bins:
-            raise ConfigError(
-                f"fdkf.num_bins ({fdkf.num_bins}) must match the STFT bin "
-                f"count ({stft.num_bins})")
         loop = self.data["loop"]
         if loop["gain"] < 0 or loop["delay"] <= 0 or loop["duration"] <= 0:
             raise ConfigError("loop gain must be >= 0 and delay/duration > 0")
@@ -112,11 +111,9 @@ class RunConfig:
     def seed(self) -> int:
         return int(self.data["seed"])
 
-    def stft(self) -> StftConfig:
-        return StftConfig(**self.data["stft"])
-
-    def fdkf(self) -> FdkfConfig:
-        return FdkfConfig(**self.data["fdkf"])
+    def suppressor(self) -> SuppressorSpec:
+        """The transform and filter of every suppressor this config builds."""
+        return SuppressorSpec(StftConfig(**self.data["stft"]), FdkfConfig(**self.data["fdkf"]))
 
     def detector(self) -> HowlDetectorConfig:
         return HowlDetectorConfig(**self.data["detector"])
@@ -137,12 +134,12 @@ class RunConfig:
         """Scene sampler over the trainer's ranges, keyed by the master seed."""
         trainer = replace(self.trainer(), seed=self.seed if seed is None else seed)
         return SceneSampler.from_config(trainer, split, utterances=utterances, duration=duration,
-                                        sample_rate=self.stft().sample_rate)
+                                        sample_rate=self.suppressor().stft.sample_rate)
 
     def nets(self, seed: int = None) -> dict:
         neural = self.data["neural"]
         return make_default_nets(
-            num_bins=self.stft().num_bins,
+            num_bins=self.suppressor().stft.num_bins,
             mask_hidden=tuple(neural["mask_hidden"]),
             seed=neural["seed"] if seed is None else seed,
         )

@@ -31,7 +31,6 @@ class FdkfConfig:
     covariance.  eps regularizes the gain denominator on silent frames.
     """
 
-    num_bins: int = 65
     num_taps: int = 20
     A: float = 0.999
     alpha: float = 0.5
@@ -40,8 +39,8 @@ class FdkfConfig:
     beta: float = 0.9
 
     def __post_init__(self):
-        if self.num_bins < 1 or self.num_taps < 1:
-            raise ValueError("num_bins and num_taps must be at least 1")
+        if self.num_taps < 1:
+            raise ValueError("num_taps must be at least 1")
         if not 0.0 < self.A <= 1.0:
             raise ValueError("A must be in (0, 1]")
         if not 0.0 < self.alpha <= 1.0:
@@ -85,9 +84,9 @@ class KalmanFilter:
     in ``denom`` and ``inv_denom``, for training tapes.
     """
 
-    def __init__(self, cfg: FdkfConfig, rows: Optional[int] = None):
+    def __init__(self, cfg: FdkfConfig, num_bins: int, rows: Optional[int] = None):
         self.cfg = cfg
-        shape = (() if rows is None else (rows,)) + (cfg.num_bins, cfg.num_taps)
+        shape = (() if rows is None else (rows,)) + (num_bins, cfg.num_taps)
         self.W = np.zeros(shape, dtype=np.complex128)
         self.P = np.full(shape, cfg.p_init, dtype=np.float64)
         self.X_hist = np.zeros(shape, dtype=np.complex128)
@@ -157,9 +156,9 @@ class ClassicalCovariances:
     streams of a batched filter.
     """
 
-    def __init__(self, cfg: FdkfConfig, rows: Optional[int] = None):
+    def __init__(self, cfg: FdkfConfig, num_bins: int, rows: Optional[int] = None):
         self.cfg = cfg
-        self.smoothed_vv = np.zeros(cfg.num_bins if rows is None else (rows, cfg.num_bins))
+        self.smoothed_vv = np.zeros(num_bins if rows is None else (rows, num_bins))
 
     def keep(self, rows):
         """Continue with only these rows, in this order."""

@@ -214,7 +214,7 @@ class ClosedLoop:
     """
 
     def __init__(self, scene, ahs, det: Optional[HowlDetectorConfig] = None,
-                 duration: Optional[float] = None, frame_size: int = 64):
+                 frame_size: int = 64):
         det = det if det is not None else HowlDetectorConfig()
         if isinstance(scene, LoopScene):
             rows, scenes = None, [scene]
@@ -228,10 +228,7 @@ class ClosedLoop:
             raise ValueError("the scenes of a stack must be equally long")
         if len({sc.sample_rate for sc in scenes}) > 1:
             raise ValueError("the scenes of a stack must share one sample rate")
-        fs = scenes[0].sample_rate
-        n = len(targets[0]) if duration is None else int(round(duration * fs))
-        if n > len(targets[0]):
-            raise ValueError("duration exceeds the near-end signal")
+        n = len(targets[0])
         dly = min(sc.delay_samples for sc in scenes)
         if frame_size < 1 or frame_size > dly:
             raise ValueError(f"frame_size must be in [1, {dly}] for this scene")
@@ -378,7 +375,7 @@ class ClosedLoop:
 
 
 def run_scene(scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
-              duration: Optional[float] = None, frame_size: int = 64):
+              frame_size: int = 64):
     """Run a suppressor through a whole scene inside the closed loop.
 
     Divergence never raises: the loudspeaker clip bounds every stream, and a
@@ -386,7 +383,7 @@ def run_scene(scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
     ``howl_event`` (the run always completes full length).  Returns a
     SceneResult, or for a stack of scenes a tuple of them, one per row.
     """
-    engine = ClosedLoop(scene, ahs, det=det, duration=duration, frame_size=frame_size)
+    engine = ClosedLoop(scene, ahs, det=det, frame_size=frame_size)
     for _ in range(engine.total_frames):
         engine.step_frame()
     return engine.result()

@@ -167,7 +167,7 @@ def _sweep_rows(stack, variant_name, factory, scene_id, ref, det, stft_cfg):
     ``ref`` caches the scene's target log spectrum across its runs.
     """
     rows = []
-    for res in run_scene(stack, factory(stack), det=det):
+    for res in run_scene(stack, factory(stack), det=det, frame_size=stft_cfg.hop):
         if "db" not in ref:
             ref["db"] = _log_spectrum(res.s, stft_cfg)
         s_hat = res.s_hat_aligned()

@@ -37,8 +37,6 @@ class RoomSpec:
     rt60: float
     sample_rate: int = 16000
     max_rir_len: int | None = None  # defaults to 0.5 * sample_rate
-    seed: int = 0
-    jitter: float = 0.0  # std of per-image arrival jitter, in samples
 
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=float)
@@ -105,7 +103,6 @@ def reflection_coefficient(spec: RoomSpec) -> float:
 def generate_rir(spec: RoomSpec) -> Rir:
     """Image-method impulse response, truncated to spec.rir_len.
 
-    Deterministic given the RoomSpec (the seed only matters when jitter > 0).
     The direct-path arrival lands at round(distance * fs / c).
 
     The taps are normalized to unit peak, so the direct-path tap is 1.0 and
@@ -122,7 +119,6 @@ def generate_rir(spec: RoomSpec) -> Rir:
 
     max_dist = (n_taps / fs) * SPEED_OF_SOUND
     taps = np.zeros(n_taps)
-    rng = np.random.default_rng(spec.seed)
 
     if beta == 0.0:
         orders = [np.array([0]), np.array([0]), np.array([0])]
@@ -141,12 +137,7 @@ def generate_rir(spec: RoomSpec) -> Rir:
         dist = np.sqrt(np.sum(diff * diff, axis=1))
         n_refl = np.sum(np.abs(r - q[None, :]) + np.abs(r), axis=1)
         amp = (beta**n_refl) / (4.0 * np.pi * np.maximum(dist, SPEED_OF_SOUND / fs))
-        arrival = dist * fs / SPEED_OF_SOUND
-        if spec.jitter > 0:
-            # Direct path stays put; higher-order images get timing jitter.
-            wobble = rng.normal(0.0, spec.jitter, size=arrival.shape)
-            arrival = np.where(n_refl > 0, arrival + wobble, arrival)
-        idx = np.round(arrival).astype(int)
+        idx = np.round(dist * fs / SPEED_OF_SOUND).astype(int)
         ok = (idx >= 0) & (idx < n_taps)
         np.add.at(taps, idx[ok], amp[ok])
 

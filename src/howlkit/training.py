@@ -16,19 +16,18 @@ whole pipeline runs without any speech corpus on disk.
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .ahs import KalmanAhs
-from .fdkf import FdkfConfig
+from .ahs import KalmanAhs, SuppressorSpec
 from .loop import ClosedLoop, HowlDetectorConfig, LoopScene, run_scene
 from .metrics import sdr
 from .nets import load_params, make_cov_dd_net, make_cov_vv_net, make_mask_net, save_params
 from .rooms import Rir, RoomSpec, convolve_batch_peak, generate_rir, sabine_min_rt60
-from .signals import StftConfig, StreamingStft, TimeSignal
+from .signals import ConfigError, StreamingStft, TimeSignal
 
 # The loudspeaker-to-microphone path is kept short enough that the
 # suppressor's cross-frame transfer function (num_taps frames of hop samples)
@@ -382,13 +381,12 @@ class TrainEvent:
         })
 
 
-def build_ahs(nets, scene, stft_cfg: Optional[StftConfig] = None,
-              fdkf_cfg: Optional[FdkfConfig] = None,
+def build_ahs(nets, scene, spec: Optional[SuppressorSpec] = None,
               stop_grad_filter: bool = False) -> KalmanAhs:
     """Wrap shared nets in a fresh suppressor sized for one scene, or with
     one row per scene of a list."""
     return KalmanAhs.for_scene(
-        scene, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
+        scene, spec=spec,
         mask_net=nets.get("mask"), vv_net=nets.get("vv"), dd_net=nets.get("dd"),
         stop_grad_filter=stop_grad_filter,
     )
@@ -431,8 +429,7 @@ def _average_grads(grad_list):
 
 
 def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_ids,
-                 stft_cfg: Optional[StftConfig] = None, fdkf_cfg: Optional[FdkfConfig] = None,
-                 det: Optional[HowlDetectorConfig] = None):
+                 spec: Optional[SuppressorSpec] = None, det: Optional[HowlDetectorConfig] = None):
     """Run a batch of equally long scenes as one stack, with
     window-synchronized updates.
 
@@ -443,8 +440,7 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
     loss or gradients are non-finite, is cut out of the stack on the spot
     without contributing that window.
     """
-    ahs = build_ahs(nets, scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
-                    stop_grad_filter=cfg.stop_grad_filter)
+    ahs = build_ahs(nets, scenes, spec=spec, stop_grad_filter=cfg.stop_grad_filter)
     hop = ahs.cfg.hop
     for scene in scenes:
         if cfg.t_bptt * hop > scene.delay_samples:
@@ -529,21 +525,21 @@ def train_scene(nets, scene: LoopScene, cfg: TrainConfig, optimizer=None):
     return nets, events[0]
 
 
-def _validate(nets, scenes, stft_cfg: Optional[StftConfig] = None,
-              fdkf_cfg: Optional[FdkfConfig] = None,
+def _validate(nets, scenes, spec: Optional[SuppressorSpec] = None,
               det: Optional[HowlDetectorConfig] = None) -> float:
     """Mean SDR of the nets over held-out scenes, run forward as one stack."""
-    ahs = build_ahs(nets, scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg)
+    ahs = build_ahs(nets, scenes, spec=spec)
     results = run_scene(scenes, ahs, det=det, frame_size=ahs.cfg.hop)
     return float(np.mean([sdr(res.s, res.s_hat_aligned()) for res in results]))
 
 
-def save_checkpoint(nets, path: str, meta=None):
-    """Write nets (one file each) and metadata; no optimizer state is kept."""
+def save_checkpoint(nets, path: str, spec: Optional[SuppressorSpec] = None, meta=None):
+    """Write nets (one file each), their suppressor spec (default when
+    omitted) and metadata; no optimizer state is kept."""
     os.makedirs(path, exist_ok=True)
     for name, net in nets.items():
         save_params(net, os.path.join(path, f"{name}.net"))
-    record = {"nets": sorted(nets)}
+    record = {"nets": sorted(nets), "suppressor": asdict(spec or SuppressorSpec())}
     if meta:
         record.update(meta)
     with open(os.path.join(path, "checkpoint.json"), "w") as f:
@@ -551,30 +547,39 @@ def save_checkpoint(nets, path: str, meta=None):
         f.write("\n")
 
 
-def load_checkpoint(path: str):
-    """Load nets saved by save_checkpoint; returns {name: LstmNet}."""
+def load_checkpoint(path: str, spec: Optional[SuppressorSpec] = None):
+    """Load nets saved by save_checkpoint; returns {name: LstmNet}.  A
+    checkpoint whose recorded spec is not ``spec`` (default when omitted),
+    or that records none, raises ConfigError naming each key that differs."""
     manifest = os.path.join(path, "checkpoint.json")
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"no checkpoint manifest at {manifest}")
     with open(manifest) as f:
         record = json.load(f)
+    if "suppressor" not in record:
+        raise ConfigError(f"{manifest} records no suppressor spec")
+    recorded = record["suppressor"]
+    diffs = [f"{sec}.{key}: checkpoint {recorded.get(sec, {}).get(key)}, config {val}"
+             for sec, fields in asdict(spec or SuppressorSpec()).items()
+             for key, val in fields.items() if recorded.get(sec, {}).get(key) != val]
+    if diffs:
+        raise ConfigError(f"{manifest} was recorded under another suppressor: {'; '.join(diffs)}")
     return {name: load_params(os.path.join(path, f"{name}.net"))
             for name in record["nets"]}
 
 
 def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[SceneSampler] = None,
           log_path: Optional[str] = None, checkpoint_dir: Optional[str] = None,
-          stft_cfg: Optional[StftConfig] = None, fdkf_cfg: Optional[FdkfConfig] = None,
-          det: Optional[HowlDetectorConfig] = None):
+          spec: Optional[SuppressorSpec] = None, det: Optional[HowlDetectorConfig] = None):
     """Full training run: epochs x scenes_per_epoch scenes in batches.
 
     Fresh scenes are drawn every epoch (index = epoch * scenes_per_epoch + j,
     so no scene repeats).  After each epoch the nets are scored by mean SDR
     on fixed held-out scenes from ``val_sampler`` when given; the best
     checkpoint is kept under ``checkpoint_dir`` and reloaded into the nets
-    at the end.  ``stft_cfg``, ``fdkf_cfg`` and ``det`` set the suppressor's
-    transform and filter and the howling test (library defaults when
-    omitted).  Returns ``(nets, events)``.
+    at the end.  ``spec`` sets the suppressor's transform and filter, and
+    every checkpoint records it; ``det`` sets the howling test (library
+    defaults when omitted).  Returns ``(nets, events)``.
     """
     if not nets:
         raise ValueError("no nets to train")
@@ -596,7 +601,7 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
                 scenes = [sampler.scene(i) for i in chunk]
                 ids = [sampler.scene_id(i) for i in chunk]
                 for event in _train_batch(nets, scenes, cfg, optimizer, epoch, ids,
-                                          stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg, det=det):
+                                          spec=spec, det=det):
                     events.append(event)
                     if log_file:
                         log_file.write(event.to_json() + "\n")
@@ -604,19 +609,19 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
                 if val_scenes is None:
                     val_scenes = [val_sampler.scene(i, gain=cfg.validation_gain)
                                   for i in range(cfg.validation_scenes)]
-                score = _validate(nets, val_scenes, stft_cfg=stft_cfg, fdkf_cfg=fdkf_cfg,
-                                  det=det)
+                score = _validate(nets, val_scenes, spec=spec, det=det)
                 if log_file:
                     log_file.write(json.dumps({"epoch": epoch, "val_sdr": score}) + "\n")
                 if score > best_sdr:
                     best_sdr = score
                     if best_dir:
-                        save_checkpoint(nets, best_dir, meta={"epoch": epoch, "val_sdr": score})
+                        save_checkpoint(nets, best_dir, spec,
+                                        meta={"epoch": epoch, "val_sdr": score})
         if checkpoint_dir:
-            save_checkpoint(nets, os.path.join(checkpoint_dir, "final"),
+            save_checkpoint(nets, os.path.join(checkpoint_dir, "final"), spec,
                             meta={"epoch": cfg.epochs - 1, "val_sdr": best_sdr if np.isfinite(best_sdr) else None})
         if best_dir and os.path.exists(os.path.join(best_dir, "checkpoint.json")):
-            best = load_checkpoint(best_dir)
+            best = load_checkpoint(best_dir, spec)
             for name, net in best.items():
                 for key in nets[name].params:
                     nets[name].params[key][...] = net.params[key]

@@ -119,8 +119,8 @@ def test_criterion_03_fdkf_matches_dense_oracle():
     rng = np.random.default_rng(2)
     worst = 0.0
     for L in (1, 2):
-        cfg = FdkfConfig(num_bins=4, num_taps=L, eps=0.0)
-        filt = KalmanFilter(cfg)
+        cfg = FdkfConfig(num_taps=L, eps=0.0)
+        filt = KalmanFilter(cfg, 4)
         psi_vv, psi_dd = 0.3, 0.004
         cov = CovariancePair(np.full(4, psi_vv), np.full((4, L), psi_dd))
         Y = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
@@ -149,9 +149,9 @@ def test_criterion_03_fdkf_matches_dense_oracle():
 
 def test_criterion_04_covariance_positivity_100k_steps():
     t0 = time.monotonic()
-    cfg = FdkfConfig(num_bins=4, num_taps=2)
-    filt = KalmanFilter(cfg)
-    classical = ClassicalCovariances(cfg)
+    cfg = FdkfConfig(num_taps=2)
+    filt = KalmanFilter(cfg, 4)
+    classical = ClassicalCovariances(cfg, 4)
     rng = np.random.default_rng(3)
     min_p = min_vv = min_dd = np.inf
     finite = True

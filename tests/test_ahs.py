@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from howlkit.ahs import KalmanAhs
+from howlkit.ahs import KalmanAhs, SuppressorSpec
 from howlkit.fdkf import FdkfConfig
 from howlkit.loop import ClosedLoop, LoopScene, run_scene
 from howlkit.nets import LstmNet, make_cov_dd_net, make_cov_vv_net, make_mask_net
@@ -41,7 +41,7 @@ def scaled_room_rir(coupling=3.0):
 # 16/8 transform (9 bins) and 2-tap filter keep finite differencing cheap.
 
 TINY = StftConfig(frame_len=16, hop=8)
-TINY_F = FdkfConfig(num_bins=9, num_taps=2)
+TINY_SPEC = SuppressorSpec(TINY, FdkfConfig(num_taps=2))
 
 
 def tiny_nets(mask=True, cov=True):
@@ -55,7 +55,7 @@ def tiny_nets(mask=True, cov=True):
 
 
 def tiny_ahs(mask=True, cov=True, stop_grad_filter=False):
-    return KalmanAhs(1.3, 64, stft_cfg=TINY, fdkf_cfg=TINY_F,
+    return KalmanAhs(1.3, 64, spec=TINY_SPEC,
                      stop_grad_filter=stop_grad_filter, **tiny_nets(mask=mask, cov=cov))
 
 
@@ -77,8 +77,6 @@ def test_construction_validation():
         KalmanAhs(-0.1, 2400)
     with pytest.raises(ValueError, match="delay"):
         KalmanAhs(1.0, 63)  # below one hop of the default transform
-    with pytest.raises(ValueError, match="bins"):
-        KalmanAhs(1.0, 2400, fdkf_cfg=FdkfConfig(num_bins=5))
     with pytest.raises(ValueError, match="pair"):
         KalmanAhs(1.0, 2400, vv_net=LstmNet(65, (4,), 65, "softplus"))
 
@@ -401,7 +399,7 @@ def test_window_grads_after_keep_equal_per_frame_sums(monkeypatch):
 
     monkeypatch.setattr(LstmNet, "window_grads", checked_window_grads)
     ahs = KalmanAhs((1.3, 1.1, 0.9), (64, 64, 64), sat=(1.0, 1.0, 1.0),
-                    stft_cfg=TINY, fdkf_cfg=TINY_F, **tiny_nets())
+                    spec=TINY_SPEC, **tiny_nets())
     T = 10
     ys = random_chunks(3 * T, 40).reshape(T, 3, TINY.hop)
     xs = random_chunks(3 * T, 41, scale=0.3).reshape(T, 3, TINY.hop)
@@ -447,7 +445,8 @@ def test_stop_grad_filter_blocks_recursion_paths():
 # A stack of gain copies of one scene runs every gain in lockstep through one
 # processor; each row must be the processor its scene would build alone.
 
-SLOW_FILTER = FdkfConfig(p_init=1e-3)  # adapts slowly enough to howl at high gain
+# adapts slowly enough to howl at high gain
+SLOW_FILTER = SuppressorSpec(fdkf=FdkfConfig(p_init=1e-3))
 
 
 def sweep_and_solo(scene, gains, det=None, **kwargs):
@@ -459,7 +458,7 @@ def sweep_and_solo(scene, gains, det=None, **kwargs):
 
 def test_classical_sweep_rows_equal_solo_runs_bitwise():
     scene = LoopScene(speech_like(0.6, 3), scaled_room_rir(), gain=1.0, delay=0.02)
-    rows, solos = sweep_and_solo(scene, (0.0, 0.5, 1.0, 3.0, 8.0), fdkf_cfg=SLOW_FILTER)
+    rows, solos = sweep_and_solo(scene, (0.0, 0.5, 1.0, 3.0, 8.0), spec=SLOW_FILTER)
     onsets = [row.howl_event for row in rows]
     assert onsets[:2] == [None, None]
     assert None not in onsets[2:] and len(set(onsets[2:])) == 3

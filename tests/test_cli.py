@@ -65,6 +65,11 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "stft.hopp" in capsys.readouterr().err
 
 
+EVAL_CKPT = ["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2", "--checkpoint"]
+SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neuralkalman",
+                 "--checkpoint"]
+
+
 @pytest.mark.parametrize("argv, data, code", [
     (["eval", "--checkpoint", "{tmp}/nope", "--scenes", 1, "--duration", 0.5], {}, EXIT_IO),
     # a delay of 0.08 samples rounds to none: LoopScene refuses the drawn scene
@@ -79,11 +84,26 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
      {"loop": {"delay": 0.002}}, EXIT_CONFIG),
     (["suppress", "--synthetic", "--duration", 0.5],
      {"trainer": {"delay_range": [0.002, 0.003]}}, EXIT_CONFIG),
+    # {tmp}/ckpt records the default suppressor, {tmp}/bare records none
+    (EVAL_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}}, EXIT_CONFIG),
+    (SUPPRESS_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}}, EXIT_CONFIG),
+    (EVAL_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}}, EXIT_CONFIG),
+    (SUPPRESS_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}}, EXIT_CONFIG),
+    (EVAL_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
+    (SUPPRESS_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
 ], ids=["eval-missing-checkpoint", "eval-zero-delay-scene", "train-short-delay",
         "train-long-window", "suppress-in-short-delay", "suppress-in-none-short-delay",
-        "suppress-synthetic-short-delay"])
+        "suppress-synthetic-short-delay", "eval-checkpoint-other-taps",
+        "suppress-checkpoint-other-taps", "eval-checkpoint-other-frame-len",
+        "suppress-checkpoint-other-frame-len", "eval-checkpoint-without-spec",
+        "suppress-checkpoint-without-spec"])
 def test_refused_runs_write_nothing(tmp_path, capsys, argv, data, code):
     write_wav(tmp_path / "mic.wav", np.full(2000, 0.1), 16000, fmt="float32")
+    save_checkpoint(RunConfig().nets(), str(tmp_path / "ckpt"))
+    save_checkpoint(RunConfig().nets(), str(tmp_path / "bare"))
+    record = json.loads((tmp_path / "bare" / "checkpoint.json").read_text())
+    del record["suppressor"]
+    write_config(tmp_path / "bare" / "checkpoint.json", record)
     cfg = write_config(tmp_path / "cfg.json", data)
     argv = [str(a).replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(*argv, "--config", cfg, "--out", tmp_path / "o") == code
@@ -293,14 +313,17 @@ def test_open_loop_passthrough_clears_the_sign_of_negative_zero(tmp_path, capsys
 
 
 def test_suppress_steps_the_loop_one_configured_hop_at_a_time(tmp_path, capsys):
-    cfg = write_config(tmp_path / "wide.json", {"stft": {"frame_len": 256, "hop": 128},
-                                                "fdkf": {"num_bins": 129}})
+    cfg = write_config(tmp_path / "wide.json", {"stft": {"frame_len": 256, "hop": 128}})
     wav = noise_wav(tmp_path / "mic.wav", 3000, seed=6)
     assert run("suppress", "--synthetic", "--config", cfg, "--duration", 0.5,
                "--out", tmp_path / "syn") == EXIT_OK
     assert run("suppress", "--in", wav, "--config", cfg, "--out", tmp_path / "wav") == EXIT_OK
+    # eval steps its loops at the same hop
+    assert run("eval", "--config", cfg, "--scenes", 1, "--duration", 0.5, "--gains", "2",
+               "--out", tmp_path / "ev") == EXIT_OK
     capsys.readouterr()
     assert len(read_wav(tmp_path / "wav" / "s_hat.wav").samples) == 3000
+    assert len((tmp_path / "ev" / "report.csv").read_text().strip().splitlines()) == 3
 
 
 def test_loop_delay_and_sat_reach_suppress_in_but_not_simulate(tmp_path, capsys):
@@ -419,13 +442,23 @@ def test_train_honours_the_stft_and_fdkf_sections(tmp_path, capsys):
     # window to stay within the loop delay
     data = json.loads(json.dumps(TINY_TRAIN))
     data["trainer"]["t_bptt"] = 16
-    data.update({"stft": {"frame_len": 256, "hop": 128}, "fdkf": {"num_bins": 129}})
+    data.update({"stft": {"frame_len": 256, "hop": 128}, "fdkf": {"num_taps": 12}})
     cfg = tmp_path / "wide.json"
     cfg.write_text(json.dumps(data))
     out = tmp_path / "o"
     assert run("train", "--synthetic", "--config", cfg, "--out", out) == EXIT_OK
     capsys.readouterr()
-    assert cli.load_checkpoint(str(out / "best"))["mask"].output_size == 129
+    spec = RunConfig(data).suppressor()
+    assert cli.load_checkpoint(str(out / "best"), spec)["mask"].output_size == 129
+    record = json.loads((out / "final" / "checkpoint.json").read_text())
+    assert record["suppressor"]["stft"]["frame_len"] == 256
+    assert record["suppressor"]["fdkf"]["num_taps"] == 12
+    # the same config accepts the checkpoint it trained
+    assert run("eval", "--config", cfg, "--checkpoint", out / "best", "--scenes", 1,
+               "--duration", 0.5, "--gains", "2", "--out", tmp_path / "ev") == EXIT_OK
+    capsys.readouterr()
+    rows = (tmp_path / "ev" / "report.csv").read_text().strip().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"none", "kalman", "neuralkalman"}
 
 
 def test_train_builds_the_configured_filter(tmp_path, capsys, monkeypatch):

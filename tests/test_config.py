@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
+from howlkit.ahs import SuppressorSpec
 from howlkit.config import RunConfig, default_config
 from howlkit.fdkf import FdkfConfig
 from howlkit.loop import HowlDetectorConfig
@@ -34,7 +35,7 @@ def test_defaults_equal_module_defaults():
 
 def test_json_round_trip_is_identity():
     cfg = RunConfig({"seed": 9, "stft": {"hop": 32, "frame_len": 64},
-                     "fdkf": {"num_bins": 33}})
+                     "fdkf": {"num_taps": 8}})
     again = RunConfig(json.loads(cfg.to_json()))
     assert again.to_dict() == cfg.to_dict()
 
@@ -45,6 +46,7 @@ def test_json_round_trip_is_identity():
     ({"trainer": {"learning_rate": 0.1}}, "trainer.learning_rate"),
     ({"paths": {"输出": "x"}}, "paths"),
     ({"neural": {"mask_scope": "everywhere"}}, "neural.mask_scope"),
+    ({"fdkf": {"num_bins": 65}}, "fdkf.num_bins"),  # the filter takes the stft's bins
 ])
 def test_unknown_keys_rejected_with_dotted_path(data, dotted):
     with pytest.raises(ConfigError, match=dotted.replace(".", r"\.")):
@@ -56,12 +58,13 @@ def test_section_must_be_an_object():
         RunConfig({"stft": 3})
 
 
-def test_num_bins_must_match_stft():
-    with pytest.raises(ConfigError, match="num_bins"):
-        RunConfig({"fdkf": {"num_bins": 33}})
-    # consistent override is fine
-    cfg = RunConfig({"stft": {"frame_len": 64, "hop": 32}, "fdkf": {"num_bins": 33}})
-    assert cfg.fdkf().num_bins == cfg.stft().num_bins == 33
+def test_suppressor_spec_is_the_stft_and_fdkf_sections():
+    assert RunConfig().suppressor() == SuppressorSpec()
+    cfg = RunConfig({"stft": {"frame_len": 64, "hop": 32}, "fdkf": {"num_taps": 8}})
+    assert cfg.suppressor() == SuppressorSpec(StftConfig(frame_len=64, hop=32),
+                                              FdkfConfig(num_taps=8))
+    with pytest.raises(ValueError, match="num_taps"):
+        RunConfig({"fdkf": {"num_taps": 0}})
 
 
 def test_trainer_validation_becomes_config_error():

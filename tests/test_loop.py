@@ -174,8 +174,6 @@ def test_detector_negative_excursions_count():
 
 def test_run_scene_validation_errors():
     scene = LoopScene(noise_signal(0.1, 0), Rir(np.array([1.0]), FS), gain=1.0, delay=0.01)
-    with pytest.raises(ValueError, match="duration"):
-        run_scene(scene, IdentityAhs(), duration=5.0)
     with pytest.raises(ValueError, match="frame_size"):
         run_scene(scene, IdentityAhs(), frame_size=1000)
     with pytest.raises(ValueError, match="gain"):
@@ -376,13 +374,18 @@ def test_detector_scans_rows_with_their_own_carry():
 
 
 def stack_of_scenes():
-    """Three scenes with their own source, loop path, gain, delay and clip."""
+    """Three scenes with their own source, loop path, gain, delay and clip;
+    the loudspeaker moves per scene, so each has its own feedback path."""
     room = replace(ROOM, max_rir_len=600)
-    return [LoopScene(noise_signal(0.5, seed, peak=0.3),
-                      Rir(generate_rir(replace(room, seed=seed, jitter=2.0)).taps * coupling, FS),
-                      gain=gain, delay=delay, sat=sat, seed=seed)
-            for seed, coupling, gain, delay, sat in
-            ((1, 0.2, 0.5, 0.02, 1.0), (2, 0.3, 3.0, 0.03, 0.8), (3, 0.25, 2.0, 0.025, 1.0))]
+    scenes = [LoopScene(noise_signal(0.5, seed, peak=0.3),
+                        Rir(generate_rir(replace(room, source_pos=(0.5 * seed, 1.0, 1.5))).taps
+                            * coupling, FS),
+                        gain=gain, delay=delay, sat=sat, seed=seed)
+              for seed, coupling, gain, delay, sat in
+              ((1, 0.2, 0.5, 0.02, 1.0), (2, 0.3, 3.0, 0.03, 0.8), (3, 0.25, 2.0, 0.025, 1.0))]
+    paths = [sc.feedback_rir.taps / np.max(sc.feedback_rir.taps) for sc in scenes]
+    assert all(np.any(a != b) for i, a in enumerate(paths) for b in paths[i + 1:])
+    return scenes
 
 
 def test_stack_rows_equal_solo_runs_bitwise():

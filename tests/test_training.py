@@ -7,11 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from howlkit.ahs import KalmanAhs
+from howlkit.ahs import KalmanAhs, SuppressorSpec
+from howlkit.fdkf import FdkfConfig
 from howlkit.loop import ClosedLoop, LoopScene
 from howlkit.nets import make_mask_net
 from howlkit.rooms import Rir
-from howlkit.signals import StftConfig, StreamingStft, TimeSignal, stft
+from howlkit.signals import ConfigError, StftConfig, StreamingStft, TimeSignal, stft
 from howlkit.metrics import sdr
 from howlkit.loop import run_scene
 from howlkit.training import (AdamOptimizer, SceneSampler, SgdOptimizer, TrainConfig,
@@ -575,6 +576,26 @@ def test_checkpoint_roundtrip(tmp_path):
     assert not (tmp_path / "optimizer.npz").exists()
     record = json.loads((tmp_path / "checkpoint.json").read_text())
     assert record["epoch"] == 3
+
+
+def test_checkpoint_refuses_another_suppressor_spec(tmp_path):
+    save_checkpoint(small_nets(seed=5), str(tmp_path))
+    other = SuppressorSpec(StftConfig(frame_len=256, hop=128), FdkfConfig(num_taps=8))
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(str(tmp_path), other)
+    message = str(err.value)
+    for diff in ("fdkf.num_taps: checkpoint 20, config 8", "stft.frame_len: checkpoint 128, "
+                 "config 256", "stft.hop: checkpoint 64, config 128"):
+        assert diff in message
+    assert "window" not in message
+    # a record that lacks a section or a field differs in every missing key
+    record = json.loads((tmp_path / "checkpoint.json").read_text())
+    del record["suppressor"]["fdkf"]
+    (tmp_path / "checkpoint.json").write_text(json.dumps(record))
+    with pytest.raises(ConfigError, match="fdkf.num_taps: checkpoint None, config 20"):
+        load_checkpoint(str(tmp_path))
+    save_checkpoint(make_default_nets(129, mask_hidden=(8,)), str(tmp_path), other)
+    assert load_checkpoint(str(tmp_path), other)["mask"].output_size == 129
 
 
 def test_checkpoint_missing_dir():
