@@ -10,8 +10,8 @@ the whole suppressor inside a live feedback simulation, so the networks learn
 under the same dynamics they will face at inference, hard clipping, howling
 risk and all.
 
-This is a miniature run (a couple of minutes); the package-level defaults
-train longer on more scenes.
+This is a miniature run (seconds); the package-level defaults train longer
+on more scenes.
 """
 
 import dataclasses
@@ -35,7 +35,7 @@ os.makedirs(OUT, exist_ok=True)
 cfg = TrainConfig(epochs=3, scenes_per_epoch=8, batch_size=4, duration=2.0,
                   lr=1e-3, lr_decay=0.6, validation_scenes=2)
 nets = make_default_nets(num_bins=65, mask_hidden=(16,), seed=0)
-sampler = SceneSampler.from_config(cfg, "train")
+sampler = SceneSampler(seed=cfg.seed, split="train", duration=cfg.duration)
 val_sampler = SceneSampler(seed=17, split="test", duration=2.0)
 
 t0 = time.time()

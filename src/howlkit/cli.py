@@ -97,8 +97,7 @@ def _check_finite(samples, what: str):
 def cmd_simulate(args) -> None:
     _check_count(args.count, "--count")
     cfg = _effective_config(args)
-    duration = args.duration if args.duration is not None else cfg.loop_knobs()["duration"]
-    sampler = cfg.sampler(args.split, duration=duration)
+    sampler = cfg.sampler(args.split, duration=args.duration)
     out = _out_dir(args, cfg)
     det = cfg.detector()
     rows = []
@@ -118,7 +117,7 @@ def cmd_simulate(args) -> None:
         "split": args.split,
         "seed": cfg.seed,
         "count": args.count,
-        "duration": duration,
+        "duration": sampler.duration,
         "scenes": rows,
     }
     with open(os.path.join(out, "manifest.json"), "w") as f:
@@ -147,8 +146,7 @@ def cmd_suppress(args) -> None:
         scene = LoopScene(TimeSignal(padded, fs), Rir(np.zeros(1), fs), gain=gain,
                           delay=knobs["delay"], sat=knobs["sat"])
     else:
-        duration = args.duration if args.duration is not None else knobs["duration"]
-        scene = cfg.sampler("test", duration=duration).scene(args.scene, gain=gain)
+        scene = cfg.sampler("test", duration=args.duration).scene(args.scene, gain=gain)
     if scene.delay_samples < stft_cfg.hop:
         raise ConfigError(f"loop delay of {scene.delay_samples} samples is shorter "
                           f"than one {stft_cfg.hop}-sample hop")
@@ -207,13 +205,13 @@ def cmd_rir(args) -> None:
     _check_count(args.count, "--count")
     cfg = _effective_config(args)
     out = _out_dir(args, cfg)
-    trainer = cfg.trainer()
+    rt60_range = cfg.sampler("test").rt60_range
     fs = cfg.suppressor().stft.sample_rate
     rng = np.random.default_rng([cfg.seed, 3])
     rows = []
     for i in range(args.count):
         dims, src, mic = draw_room(rng)
-        rt60 = rng.uniform(*trainer.rt60_range)
+        rt60 = rng.uniform(*rt60_range)
         rt60 = max(rt60, 1.05 * sabine_min_rt60(dims))
         spec = RoomSpec(tuple(dims), tuple(src), tuple(mic), rt60, sample_rate=fs)
         rir = generate_rir(spec)
@@ -259,12 +257,13 @@ def cmd_train(args) -> None:
     else:
         raise ConfigError("train needs --synthetic or a corpus (--corpus/paths.corpus_dir)")
 
-    sampler = cfg.sampler("train", duration=tcfg.duration, utterances=utterances)
+    sampler = cfg.sampler("train", duration=tcfg.duration, seed=tcfg.seed,
+                          utterances=utterances)
     # validation pool: test-split draws under a shifted seed, so the primary
     # test split stays untouched for final evaluation
-    val_sampler = cfg.sampler("test", duration=tcfg.duration,
-                              seed=cfg.seed + 17, utterances=utterances)
-    shortest = round(tcfg.delay_range[0] * stft_cfg.sample_rate)
+    val_sampler = cfg.sampler("test", duration=tcfg.duration, seed=tcfg.seed + 17,
+                              utterances=utterances)
+    shortest = round(sampler.delay_range[0] * stft_cfg.sample_rate)
     if tcfg.t_bptt * stft_cfg.hop > shortest:
         raise ConfigError(f"trainer.t_bptt window ({tcfg.t_bptt} frames x {stft_cfg.hop} "
                           f"samples) exceeds the shortest loop delay ({shortest} samples)")
@@ -289,8 +288,7 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     _check_count(args.scenes, "--scenes")
     cfg = _effective_config(args)
-    duration = args.duration if args.duration is not None else cfg.loop_knobs()["duration"]
-    scenes = cfg.sampler("test", duration=duration).scenes(args.scenes)
+    scenes = cfg.sampler("test", duration=args.duration).scenes(args.scenes)
     variants = {
         "none": _build_suppressor_factory(cfg, "none"),
         "kalman": _build_suppressor_factory(cfg, "kalman"),
@@ -345,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--count", type=int, default=4, help="number of scenes")
     p.add_argument("--gain", type=float, help="force this loop gain (default: sampled)")
-    p.add_argument("--duration", type=float, help="scene length in seconds")
+    p.add_argument("--duration", type=float,
+                   help="scene length in seconds (default: sampler.duration)")
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.set_defaults(func=cmd_simulate)
 
@@ -362,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cov", action="store_true",
                    help="ablation: drop both covariance networks")
     p.add_argument("--gain", type=float, help="loop gain (default: config loop.gain)")
-    p.add_argument("--duration", type=float, help="scene length in seconds (synthetic)")
+    p.add_argument("--duration", type=float,
+                   help="synthetic scene length in seconds (default: sampler.duration)")
     p.add_argument("--scene", type=int, default=0, help="test-split scene index (synthetic)")
     p.add_argument("--wav-format", choices=("float32", "pcm16"), default="float32")
     p.set_defaults(func=cmd_suppress)
@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="trained checkpoint for the neural variant")
     p.add_argument("--scenes", type=int, default=8, help="held-out scenes per sweep point")
     p.add_argument("--gains", type=_parse_gains, help="comma-separated gain list")
-    p.add_argument("--duration", type=float, help="scene length in seconds")
+    p.add_argument("--duration", type=float,
+                   help="scene length in seconds (default: sampler.duration)")
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -1,34 +1,41 @@
 """Run configuration for the command-line tools.
 
-A run config is a JSON object with one section per subsystem; every value
-has a default equal to the corresponding library default, so an empty file
-(or no file at all) reproduces the stock pipeline.  Unknown sections or keys
-are rejected outright — a typo should fail loudly, not silently fall back.
+A run config is a JSON object with one section per library object: each
+section is exactly the keyword arguments of one constructor, and every value
+has the library default, so an empty file (or no file at all) reproduces the
+stock pipeline.  Unknown sections or keys are rejected outright — a typo
+should fail loudly, not silently fall back.
 
-Sections:
-    seed      master seed for scene sampling and artifact generation
-    stft      framing (see signals.StftConfig)
+Sections, with the subcommands that read them:
+    seed      master seed: the scenes of simulate, suppress --synthetic and
+              eval, and the rooms of rir
+    stft      framing (signals.StftConfig); every subcommand
     fdkf      filter taps and recursion constants (fdkf.FdkfConfig), one
               recursion per stft bin.  stft + fdkf are the suppressor spec
               (RunConfig.suppressor): checkpoints record it, and eval and
               suppress refuse a checkpoint recorded under another
-    detector  howling test (loop.HowlDetectorConfig)
-    loop      scalar scene knobs.  gain: suppress's loop gain when --gain
+    detector  howling test (loop.HowlDetectorConfig); every closed loop
+    sampler   scene length and sampling ranges (training.SceneSampler):
+              simulate, suppress --synthetic, eval and train (which takes
+              its scene length from trainer.duration); rir reads rt60_range
+    loop      the loop suppress runs in.  gain: its loop gain when --gain
               is not given (simulate and eval sample theirs).  delay, sat:
               the loop suppress --in mirrors (synthetic scenes draw their
-              delay from trainer.delay_range and clip at 1.0).  duration:
-              scene length of simulate, suppress --synthetic and eval when
-              --duration is not given.
-    neural    mask network size and wiring: mask_hidden, stop_grad_filter,
-              seed
-    trainer   training hyperparameters and sampling ranges
-              (training.TrainConfig, minus the wiring key above)
+              delay from sampler.delay_range and clip at 1.0)
+    neural    make_default_nets' mask_hidden and seed; train, and
+              suppress --variant neuralkalman without a checkpoint
+    trainer   training.TrainConfig; train draws its scenes with
+              trainer.seed and its validation scenes with trainer.seed + 17
     paths     out_dir, checkpoint, corpus_dir
+
+Keys that moved exit 2 as unknown keys: loop.duration is sampler.duration,
+trainer.{gain,delay,rt60,coupling}_range are sampler.*_range, and
+neural.stop_grad_filter is trainer.stop_grad_filter.
 """
 
 import copy
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .ahs import SuppressorSpec
 from .fdkf import FdkfConfig
@@ -39,23 +46,18 @@ from .training import SceneSampler, TrainConfig, make_default_nets
 
 def default_config() -> dict:
     """The full schema with library defaults, JSON-serializable."""
-    trainer = asdict(TrainConfig())
-    neural = {
-        "mask_hidden": [32, 32],
-        "stop_grad_filter": trainer.pop("stop_grad_filter"),
-        "seed": 0,
-    }
-    for key, val in trainer.items():
-        if isinstance(val, tuple):
-            trainer[key] = list(val)
+    sampler = SceneSampler()
+    ranges = ("gain_range", "delay_range", "rt60_range", "coupling_range")
     return {
         "seed": 0,
         "stft": asdict(StftConfig()),
         "fdkf": asdict(FdkfConfig()),
         "detector": asdict(HowlDetectorConfig()),
-        "loop": {"gain": 2.0, "delay": 0.2, "sat": 1.0, "duration": 4.0},
-        "neural": neural,
-        "trainer": trainer,
+        "sampler": {"duration": sampler.duration,
+                    **{key: list(getattr(sampler, key)) for key in ranges}},
+        "loop": {"gain": 2.0, "delay": 0.2, "sat": 1.0},
+        "neural": {"mask_hidden": [32, 32], "seed": 0},
+        "trainer": asdict(TrainConfig()),
         "paths": {"out_dir": "runs", "checkpoint": None, "corpus_dir": None},
     }
 
@@ -83,9 +85,10 @@ class RunConfig:
         self.suppressor()
         self.detector()
         self.trainer()
+        self.sampler("train")
         loop = self.data["loop"]
-        if loop["gain"] < 0 or loop["delay"] <= 0 or loop["duration"] <= 0:
-            raise ConfigError("loop gain must be >= 0 and delay/duration > 0")
+        if loop["gain"] < 0 or loop["delay"] <= 0:
+            raise ConfigError("loop gain must be >= 0 and delay > 0")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -119,30 +122,27 @@ class RunConfig:
         return HowlDetectorConfig(**self.data["detector"])
 
     def trainer(self) -> TrainConfig:
-        sec = dict(self.data["trainer"])
-        for key, val in sec.items():
-            if isinstance(val, list):
-                sec[key] = tuple(val)
-        neural = self.data["neural"]
         try:
-            return TrainConfig(stop_grad_filter=neural["stop_grad_filter"], **sec)
+            return TrainConfig(**self.data["trainer"])
         except ValueError as exc:
             raise ConfigError(f"trainer: {exc}") from exc
 
     def sampler(self, split: str, duration: float = None, seed: int = None,
                 utterances=None) -> SceneSampler:
-        """Scene sampler over the trainer's ranges, keyed by the master seed."""
-        trainer = replace(self.trainer(), seed=self.seed if seed is None else seed)
-        return SceneSampler.from_config(trainer, split, utterances=utterances, duration=duration,
-                                        sample_rate=self.suppressor().stft.sample_rate)
+        """Scene sampler over the sampler section, keyed by the master seed
+        unless ``seed`` is given; ``duration`` overrides the section's."""
+        sec = self.data["sampler"]
+        if duration is not None:
+            sec = dict(sec, duration=duration)
+        try:
+            return SceneSampler(seed=self.seed if seed is None else seed, split=split,
+                                sample_rate=self.suppressor().stft.sample_rate,
+                                utterances=utterances, **sec)
+        except ValueError as exc:
+            raise ConfigError(f"sampler: {exc}") from exc
 
-    def nets(self, seed: int = None) -> dict:
-        neural = self.data["neural"]
-        return make_default_nets(
-            num_bins=self.suppressor().stft.num_bins,
-            mask_hidden=tuple(neural["mask_hidden"]),
-            seed=neural["seed"] if seed is None else seed,
-        )
+    def nets(self) -> dict:
+        return make_default_nets(num_bins=self.suppressor().stft.num_bins, **self.data["neural"])
 
     def loop_knobs(self) -> dict:
         return dict(self.data["loop"])

@@ -171,7 +171,10 @@ def make_optimizer(cfg):
 
 
 def _check_range(name, rng_pair, lo=None, hi=None):
-    a, b = float(rng_pair[0]), float(rng_pair[1])
+    try:
+        a, b = (float(v) for v in rng_pair)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a (low, high) pair, got {rng_pair!r}") from None
     if not a <= b:
         raise ValueError(f"{name} must be (low, high) with low <= high, got {rng_pair}")
     if lo is not None and a < lo:
@@ -196,11 +199,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     opt_eps: float = 1e-8
-    seed: int = 0
-    gain_range: tuple = (1.0, 3.0)
-    delay_range: tuple = (0.15, 0.25)
-    rt60_range: tuple = (0.15, 0.6)
-    coupling_range: tuple = (2.0, 4.0)
+    seed: int = 0                  # `howlkit train` draws its scene pools with it
     stop_grad_filter: bool = False
     validation_scenes: int = 4
     validation_gain: float = 2.0
@@ -209,7 +208,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "scenes_per_epoch", "t_bptt"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("duration", "lr", "beta1", "beta2", "opt_eps", "validation_gain"):
+        for name in ("lr", "beta1", "beta2", "opt_eps", "validation_gain"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.duration <= 0:
@@ -220,10 +219,6 @@ class TrainConfig:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        _check_range("gain_range", self.gain_range, lo=0.0)
-        _check_range("delay_range", self.delay_range, lo=0.0)
-        _check_range("rt60_range", self.rt60_range, lo=0.0, hi=0.6)
-        _check_range("coupling_range", self.coupling_range, lo=0.0)
         if self.validation_scenes < 0:
             raise ValueError("validation_scenes must be nonnegative")
 
@@ -257,7 +252,8 @@ class SceneSampler:
     amplification loop runs relative to the clip level.
 
     ``utterances``: None for synthetic speech, else a non-empty list of
-    TimeSignals to crop from.
+    TimeSignals to crop from.  The sampler alone validates its duration and
+    ranges; they are the run config's ``sampler`` section.
     """
 
     def __init__(self, seed: int = 0, split: str = "train", duration: float = 4.0,
@@ -289,15 +285,6 @@ class SceneSampler:
         self.delay_range = tuple(delay_range)
         self.rt60_range = tuple(rt60_range)
         self.coupling_range = tuple(coupling_range)
-
-    @classmethod
-    def from_config(cls, cfg: TrainConfig, split: str, utterances=None,
-                    duration: Optional[float] = None, sample_rate: int = 16000):
-        return cls(seed=cfg.seed, split=split,
-                   duration=cfg.duration if duration is None else duration,
-                   sample_rate=sample_rate, utterances=utterances,
-                   gain_range=cfg.gain_range, delay_range=cfg.delay_range,
-                   rt60_range=cfg.rt60_range, coupling_range=cfg.coupling_range)
 
     def scene_id(self, index: int) -> str:
         return f"{self.split}:{index}"
@@ -411,23 +398,6 @@ def _finite_rows(losses, grads):
     return ok
 
 
-def _average_grads(grad_list):
-    out = {}
-    for grads in grad_list:
-        for net_name, tree in grads.items():
-            slot = out.setdefault(net_name, {})
-            for key, g in tree.items():
-                if key in slot:
-                    slot[key] += g
-                else:
-                    slot[key] = g.copy()
-    scale = 1.0 / len(grad_list)
-    for tree in out.values():
-        for key in tree:
-            tree[key] *= scale
-    return out
-
-
 def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_ids,
                  spec: Optional[SuppressorSpec] = None, det: Optional[HowlDetectorConfig] = None):
     """Run a batch of equally long scenes as one stack, with
@@ -492,10 +462,11 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
         for row in good:
             losses[live[row]].append(float(window_losses[row]))
         if good:
-            # each row's gradients are views into the stacks
-            optimizer.step(params, _average_grads(
-                [{name: {key: g[row] for key, g in tree.items()} for name, tree in grads.items()}
-                 for row in good]))
+            # the rows' gradients, summed in scene order and averaged
+            scale = 1.0 / len(good)
+            optimizer.step(params, {name: {key: g[good].sum(axis=0) * scale
+                                           for key, g in tree.items()}
+                                    for name, tree in grads.items()})
             _assert_finite_weights(nets)
         del grads  # free the stacks before the next window records
         for row in bad:
@@ -512,19 +483,6 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
             for i, sid in enumerate(scene_ids)]
 
 
-def train_scene(nets, scene: LoopScene, cfg: TrainConfig, optimizer=None):
-    """One streaming training pass over a single scene.
-
-    Returns ``(nets, TrainEvent)``; the nets are updated in place, one
-    optimizer step per completed window.
-    """
-    if optimizer is None:
-        optimizer = make_optimizer(cfg)
-    events = _train_batch(nets, [scene], cfg, optimizer, epoch=0,
-                          scene_ids=[f"scene:{scene.seed}"])
-    return nets, events[0]
-
-
 def _validate(nets, scenes, spec: Optional[SuppressorSpec] = None,
               det: Optional[HowlDetectorConfig] = None) -> float:
     """Mean SDR of the nets over held-out scenes, run forward as one stack."""
@@ -535,11 +493,20 @@ def _validate(nets, scenes, spec: Optional[SuppressorSpec] = None,
 
 def save_checkpoint(nets, path: str, spec: Optional[SuppressorSpec] = None, meta=None):
     """Write nets (one file each), their suppressor spec (default when
-    omitted) and metadata; no optimizer state is kept."""
+    omitted) and metadata; no optimizer state is kept.  Nets sized for
+    another bin count than the spec's raise ValueError before anything is
+    written."""
+    spec = spec or SuppressorSpec()
+    bins = spec.stft.num_bins
+    for name, net in nets.items():
+        sizes = ((2 if name == "mask" else 1) * bins, bins)
+        if (net.input_size, net.output_size) != sizes:
+            raise ValueError(f"net {name!r} maps {net.input_size} -> {net.output_size} "
+                             f"features; a {bins}-bin suppressor needs {sizes[0]} -> {bins}")
     os.makedirs(path, exist_ok=True)
     for name, net in nets.items():
         save_params(net, os.path.join(path, f"{name}.net"))
-    record = {"nets": sorted(nets), "suppressor": asdict(spec or SuppressorSpec())}
+    record = {"nets": sorted(nets), "suppressor": asdict(spec)}
     if meta:
         record.update(meta)
     with open(os.path.join(path, "checkpoint.json"), "w") as f:
@@ -583,8 +550,6 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
     """
     if not nets:
         raise ValueError("no nets to train")
-    if cfg.scenes_per_epoch < 1:
-        raise ValueError("empty scene pool: scenes_per_epoch must be at least 1")
     optimizer = make_optimizer(cfg)
     events = []
     # line-buffered so the log can be tailed while training runs

@@ -230,3 +230,16 @@ def per_hop_open_loop(samples, ahs, hop):
     chunks = [np.asarray(ahs(padded[k:k + hop]), dtype=np.float64)
               for k in range(0, len(padded), hop)]
     return np.concatenate(chunks)[:n]
+
+
+def running_mean_grads(grad_list):
+    """Per parameter, the gradients of ``grad_list`` added one after another,
+    in order, then scaled by one over their count."""
+    total = {}
+    for grads in grad_list:
+        for name, tree in grads.items():
+            slot = total.setdefault(name, {})
+            for key, g in tree.items():
+                slot[key] = slot[key] + g if key in slot else g.copy()
+    scale = 1.0 / len(grad_list)
+    return {name: {key: g * scale for key, g in tree.items()} for name, tree in total.items()}

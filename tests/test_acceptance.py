@@ -21,13 +21,8 @@ from howlkit.metrics import sdr
 from howlkit.nets import grad_check, make_cov_dd_net, make_cov_vv_net, make_mask_net
 from howlkit.rooms import Rir, StreamingConvolver, convolve_batch
 from howlkit.signals import StftConfig, TimeSignal, istft, stft
-from howlkit.training import (
-    SceneSampler,
-    TrainConfig,
-    make_default_nets,
-    train,
-    train_scene,
-)
+from howlkit.training import SceneSampler, TrainConfig, make_default_nets, train
+from helpers import train_scene
 from oracles import dense_kalman_run
 
 FS = 16000
@@ -63,14 +58,10 @@ def desk_training(tmp_path_factory):
                       duration=4.0, seed=0, lr=1e-3, lr_decay=0.6,
                       validation_scenes=8)
     nets = make_default_nets(65, mask_hidden=(32, 32), seed=0)
-    sampler = SceneSampler.from_config(cfg, "train")
+    sampler = SceneSampler(seed=0, split="train", duration=4.0)
     # validation pool under a shifted seed so the 20 evaluation scenes
     # (seed 0, test split) stay genuinely held out
-    val_sampler = SceneSampler(seed=17, split="test", duration=4.0,
-                               gain_range=cfg.gain_range,
-                               delay_range=cfg.delay_range,
-                               rt60_range=cfg.rt60_range,
-                               coupling_range=cfg.coupling_range)
+    val_sampler = SceneSampler(seed=17, split="test", duration=4.0)
     t0 = time.monotonic()
     nets, events = train(nets, sampler, cfg, val_sampler=val_sampler,
                          log_path=str(out / "train_log.jsonl"),

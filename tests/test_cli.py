@@ -74,16 +74,16 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
     (["eval", "--checkpoint", "{tmp}/nope", "--scenes", 1, "--duration", 0.5], {}, EXIT_IO),
     # a delay of 0.08 samples rounds to none: LoopScene refuses the drawn scene
     (["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2"],
-     {"trainer": {"delay_range": [0.0, 5e-6]}}, EXIT_CONFIG),
-    (["train", "--synthetic"], dict(TINY_TRAIN, trainer=dict(
-        TINY_TRAIN["trainer"], delay_range=[0.01, 0.02])), EXIT_CONFIG),
+     {"sampler": {"delay_range": [0.0, 5e-6]}}, EXIT_CONFIG),
+    (["train", "--synthetic"], dict(TINY_TRAIN, sampler={"delay_range": [0.01, 0.02]}),
+     EXIT_CONFIG),
     (["train", "--synthetic"], dict(TINY_TRAIN, trainer=dict(
         TINY_TRAIN["trainer"], t_bptt=64)), EXIT_CONFIG),
     (["suppress", "--in", "{tmp}/mic.wav"], {"loop": {"delay": 0.002}}, EXIT_CONFIG),
     (["suppress", "--in", "{tmp}/mic.wav", "--variant", "none"],
      {"loop": {"delay": 0.002}}, EXIT_CONFIG),
     (["suppress", "--synthetic", "--duration", 0.5],
-     {"trainer": {"delay_range": [0.002, 0.003]}}, EXIT_CONFIG),
+     {"sampler": {"delay_range": [0.002, 0.003]}}, EXIT_CONFIG),
     # {tmp}/ckpt records the default suppressor, {tmp}/bare records none
     (EVAL_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}}, EXIT_CONFIG),
     (SUPPRESS_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}}, EXIT_CONFIG),
@@ -91,12 +91,23 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
     (SUPPRESS_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}}, EXIT_CONFIG),
     (EVAL_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
     (SUPPRESS_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
+    # moved keys are unknown: sampler.duration, sampler.*_range, trainer.stop_grad_filter
+    (["simulate", "--count", 1], {"loop": {"duration": 0.5}}, EXIT_CONFIG),
+    (["rir", "--count", 1], {"trainer": {"rt60_range": [0.2, 0.3]}}, EXIT_CONFIG),
+    (["eval", "--scenes", 1, "--duration", 0.5], {"trainer": {"gain_range": [1.0, 2.0]}},
+     EXIT_CONFIG),
+    (["train", "--synthetic"], dict(TINY_TRAIN, trainer=dict(
+        TINY_TRAIN["trainer"], delay_range=[0.15, 0.25])), EXIT_CONFIG),
+    (["train", "--synthetic"], dict(TINY_TRAIN, neural={"stop_grad_filter": True}),
+     EXIT_CONFIG),
 ], ids=["eval-missing-checkpoint", "eval-zero-delay-scene", "train-short-delay",
         "train-long-window", "suppress-in-short-delay", "suppress-in-none-short-delay",
         "suppress-synthetic-short-delay", "eval-checkpoint-other-taps",
         "suppress-checkpoint-other-taps", "eval-checkpoint-other-frame-len",
         "suppress-checkpoint-other-frame-len", "eval-checkpoint-without-spec",
-        "suppress-checkpoint-without-spec"])
+        "suppress-checkpoint-without-spec", "simulate-loop-duration", "rir-trainer-rt60-range",
+        "eval-trainer-gain-range", "train-trainer-delay-range",
+        "train-neural-stop-grad-filter"])
 def test_refused_runs_write_nothing(tmp_path, capsys, argv, data, code):
     write_wav(tmp_path / "mic.wav", np.full(2000, 0.1), 16000, fmt="float32")
     save_checkpoint(RunConfig().nets(), str(tmp_path / "ckpt"))
@@ -396,6 +407,14 @@ def test_rir_batch_is_deterministic(tmp_path, capsys):
         assert len(taps.samples) == row["taps"]
 
 
+def test_rir_draws_rt60_from_the_sampler_section(tmp_path, capsys):
+    cfg = write_config(tmp_path / "rt60.json", {"sampler": {"rt60_range": [0.5, 0.5]}})
+    assert run("rir", "--config", cfg, "--out", tmp_path / "o", "--count", 2) == EXIT_OK
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "o" / "manifest.json").read_text())["rirs"]
+    assert [row["rt60"] for row in rows] == [0.5, 0.5]
+
+
 def test_room_draws_keep_their_bits(tmp_path, capsys):
     # rir draws source then mic, a scene mic then loudspeaker; seed 18 and
     # scene 25 each redraw their second point once
@@ -427,6 +446,27 @@ def test_train_twice_gives_identical_checkpoints(tmp_path, capsys):
     for rel in ("best/mask.net", "best/vv.net", "best/dd.net",
                 "best/checkpoint.json", "final/mask.net", "train_log.jsonl"):
         assert read_bytes(a / rel) == read_bytes(b / rel), rel
+
+
+def test_trainer_seed_draws_the_training_scenes(tmp_path, capsys):
+    # --seed k sets seed, trainer.seed and neural.seed to k; only trainer.seed
+    # reaches train's scene pools
+    runs = {}
+    for name, trainer_seed in (("zero", 0), ("five", 5), ("five_again", 5)):
+        data = dict(TINY_TRAIN, trainer=dict(TINY_TRAIN["trainer"], seed=trainer_seed))
+        cfg = write_config(tmp_path / f"{name}.json", data)
+        assert run("train", "--synthetic", "--config", cfg, "--out", tmp_path / name) == EXIT_OK
+        runs[name] = [hashlib.sha256(read_bytes(tmp_path / name / rel)).hexdigest() for rel in
+                      ("final/mask.net", "final/vv.net", "final/dd.net", "train_log.jsonl")]
+    seeded = tmp_path / "seeded"
+    assert run("train", "--synthetic", "--config", tmp_path / "five.json", "--seed", 5,
+               "--out", seeded) == EXIT_OK
+    capsys.readouterr()
+    for zero, five in zip(runs["zero"], runs["five"]):
+        assert zero != five
+    assert runs["five"] == runs["five_again"]
+    # master and net seeds 5 as well: the nets start elsewhere
+    assert hashlib.sha256(read_bytes(seeded / "final/mask.net")).hexdigest() != runs["five"][0]
 
 
 def test_train_zero_epochs_is_config_error(tmp_path, capsys):
@@ -535,13 +575,19 @@ def test_eval_nonpositive_scenes_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_eval_takes_scene_length_from_loop_duration(tmp_path, capsys):
+def test_eval_takes_scene_length_from_sampler_duration(tmp_path, capsys):
+    cfg = write_config(tmp_path / "short.json", {"sampler": {"duration": 0.5}})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("eval", "--config", cfg, "--scenes", 1, "--gains", "2", "--out", a) == EXIT_OK
+    assert run("eval", "--duration", 0.5, "--scenes", 1, "--gains", "2", "--out", b) == EXIT_OK
+    capsys.readouterr()
+    for name in ("report.csv", "summary.txt"):
+        assert read_bytes(a / name) == read_bytes(b / name), name
     # 0.005 s is 80 samples, under the 192 samples synthetic speech smooths over
-    cfg = tmp_path / "short.json"
-    cfg.write_text(json.dumps({"loop": {"duration": 0.005}}))
+    cfg = write_config(tmp_path / "shorter.json", {"sampler": {"duration": 0.005}})
     assert run("eval", "--config", cfg, "--scenes", 1, "--gains", "2",
                "--out", tmp_path / "o") == EXIT_CONFIG
-    assert "scene duration 0.005 s is 80 samples" in capsys.readouterr().err
+    assert "sampler: scene duration 0.005 s is 80 samples" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -10,7 +10,7 @@ from howlkit.config import RunConfig, default_config
 from howlkit.fdkf import FdkfConfig
 from howlkit.loop import HowlDetectorConfig
 from howlkit.signals import ConfigError, StftConfig
-from howlkit.training import TrainConfig
+from howlkit.training import SceneSampler, TrainConfig
 
 
 def test_empty_config_is_all_defaults():
@@ -23,14 +23,14 @@ def test_defaults_equal_module_defaults():
     assert d["stft"] == asdict(StftConfig())
     assert d["fdkf"] == asdict(FdkfConfig())
     assert d["detector"] == asdict(HowlDetectorConfig())
-    t = TrainConfig()
-    assert d["trainer"]["lr"] == t.lr
-    assert d["trainer"]["epochs"] == t.epochs
-    assert tuple(d["trainer"]["gain_range"]) == t.gain_range
-    assert tuple(d["trainer"]["rt60_range"]) == t.rt60_range
-    assert d["neural"]["stop_grad_filter"] == t.stop_grad_filter
-    # the wiring key lives in the neural section only
-    assert "stop_grad_filter" not in d["trainer"]
+    assert d["trainer"] == asdict(TrainConfig())
+    s = SceneSampler()
+    assert d["sampler"] == {"duration": s.duration, "gain_range": list(s.gain_range),
+                            "delay_range": list(s.delay_range),
+                            "rt60_range": list(s.rt60_range),
+                            "coupling_range": list(s.coupling_range)}
+    assert d["neural"] == {"mask_hidden": [32, 32], "seed": 0}
+    assert d["loop"] == {"gain": 2.0, "delay": 0.2, "sat": 1.0}
 
 
 def test_json_round_trip_is_identity():
@@ -47,6 +47,13 @@ def test_json_round_trip_is_identity():
     ({"paths": {"输出": "x"}}, "paths"),
     ({"neural": {"mask_scope": "everywhere"}}, "neural.mask_scope"),
     ({"fdkf": {"num_bins": 65}}, "fdkf.num_bins"),  # the filter takes the stft's bins
+    # moved keys: sampler.duration, sampler.*_range, trainer.stop_grad_filter
+    ({"loop": {"duration": 4.0}}, "loop.duration"),
+    ({"trainer": {"gain_range": [1.0, 3.0]}}, "trainer.gain_range"),
+    ({"trainer": {"delay_range": [0.15, 0.25]}}, "trainer.delay_range"),
+    ({"trainer": {"rt60_range": [0.15, 0.6]}}, "trainer.rt60_range"),
+    ({"trainer": {"coupling_range": [2.0, 4.0]}}, "trainer.coupling_range"),
+    ({"neural": {"stop_grad_filter": False}}, "neural.stop_grad_filter"),
 ])
 def test_unknown_keys_rejected_with_dotted_path(data, dotted):
     with pytest.raises(ConfigError, match=dotted.replace(".", r"\.")):
@@ -68,10 +75,21 @@ def test_suppressor_spec_is_the_stft_and_fdkf_sections():
 
 
 def test_trainer_validation_becomes_config_error():
-    with pytest.raises(ConfigError, match="epochs"):
+    with pytest.raises(ConfigError, match="trainer: epochs"):
         RunConfig({"trainer": {"epochs": 0}})
-    with pytest.raises(ConfigError, match="rt60"):
-        RunConfig({"trainer": {"rt60_range": [0.1, 0.9]}})
+    with pytest.raises(ConfigError, match="trainer: duration"):
+        RunConfig({"trainer": {"duration": 0.0}})
+
+
+def test_sampler_validation_becomes_config_error():
+    with pytest.raises(ConfigError, match="sampler: rt60_range high bound 0.9"):
+        RunConfig({"sampler": {"rt60_range": [0.1, 0.9]}})
+    with pytest.raises(ConfigError, match=r"sampler: delay_range must be a \(low, high\) pair"):
+        RunConfig({"sampler": {"delay_range": [0.2]}})
+    with pytest.raises(ConfigError, match="sampler: scene duration 0.005 s is 80 samples"):
+        RunConfig({"sampler": {"duration": 0.005}})
+    with pytest.raises(ConfigError, match="sampler: duration must be positive"):
+        RunConfig().sampler("test", duration=0.0)
 
 
 def test_loop_knobs_validated():
@@ -81,8 +99,8 @@ def test_loop_knobs_validated():
         RunConfig({"loop": {"delay": 0.0}})
 
 
-def test_neural_wiring_merges_into_trainer():
-    t = RunConfig({"neural": {"stop_grad_filter": True}}).trainer()
+def test_stop_grad_filter_is_a_trainer_key():
+    t = RunConfig({"trainer": {"stop_grad_filter": True}}).trainer()
     assert t.stop_grad_filter is True
 
 
@@ -102,15 +120,18 @@ def test_from_file_rejects_bad_json(tmp_path):
         RunConfig.from_file(str(path))
 
 
-def test_sampler_uses_master_seed_and_trainer_ranges():
-    cfg = RunConfig({"seed": 5, "trainer": {"coupling_range": [2.5, 3.0]}})
-    s = cfg.sampler("test", duration=1.0)
+def test_sampler_uses_master_seed_and_sampler_section():
+    cfg = RunConfig({"seed": 5, "sampler": {"duration": 0.75, "coupling_range": [2.5, 3.0]}})
+    s = cfg.sampler("test")
     assert s.seed == 5
     assert s.split == "test"
-    assert s.duration == 1.0
+    assert s.duration == 0.75
     assert s.coupling_range == (2.5, 3.0)
-    # explicit seed argument wins (used for validation pools)
+    assert s.gain_range == SceneSampler().gain_range
+    # explicit arguments win (train's pools, --duration)
+    assert cfg.sampler("test", duration=1.0).duration == 1.0
     assert cfg.sampler("test", seed=22).seed == 22
+    assert cfg.data["sampler"]["duration"] == 0.75
 
 
 def test_nets_respect_neural_section():

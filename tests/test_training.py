@@ -16,9 +16,11 @@ from howlkit.signals import ConfigError, StftConfig, StreamingStft, TimeSignal, 
 from howlkit.metrics import sdr
 from howlkit.loop import run_scene
 from howlkit.training import (AdamOptimizer, SceneSampler, SgdOptimizer, TrainConfig,
-                              TrainEvent, _average_grads, _train_batch, _validate,
-                              build_ahs, load_checkpoint, make_default_nets,
-                              save_checkpoint, synth_speech, train, train_scene)
+                              TrainEvent, _train_batch, _validate, build_ahs,
+                              load_checkpoint, make_default_nets, save_checkpoint,
+                              synth_speech, train)
+from helpers import train_scene
+from oracles import running_mean_grads
 
 FS = 16000
 HOP = StftConfig().hop
@@ -176,8 +178,8 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="optimizer"):
         TrainConfig(optimizer="lbfgs")
-    with pytest.raises(ValueError, match="rt60_range"):
-        TrainConfig(rt60_range=(0.1, 0.9))
+    with pytest.raises(ValueError, match="duration"):
+        TrainConfig(duration=0.0)
     with pytest.raises(ValueError, match="clip_norm"):
         TrainConfig(clip_norm=0.0)
     TrainConfig(lr=0.0)  # zero learning rate is allowed (no-op training)
@@ -221,6 +223,18 @@ def test_sampler_rejects_empty_utterance_pool():
         SceneSampler(seed=0, utterances=[])
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"rt60_range": (0.1, 0.9)}, "rt60_range high bound 0.9 above maximum 0.6"),
+    ({"gain_range": (-1.0, 2.0)}, "gain_range low bound -1.0 below minimum 0.0"),
+    ({"delay_range": (0.3, 0.2)}, r"delay_range must be \(low, high\) with low <= high"),
+    ({"coupling_range": (1.0, 2.0, 3.0)}, r"coupling_range must be a \(low, high\) pair"),
+    ({"gain_range": 2.0}, r"gain_range must be a \(low, high\) pair"),
+])
+def test_sampler_validates_its_ranges(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SceneSampler(**kwargs)
+
+
 def test_sampler_scene_dc_coupling_in_range():
     s = SceneSampler(seed=4, split="train", duration=0.4)
     for i in range(5):
@@ -229,7 +243,7 @@ def test_sampler_scene_dc_coupling_in_range():
 
 
 # ---------------------------------------------------------------------------
-# train_scene
+# one scene trained as a one-row batch (helpers.train_scene)
 
 
 def test_train_scene_zero_lr_reports_loss_without_touching_weights():
@@ -452,7 +466,7 @@ def assert_batch_matches_solo_runs(scenes, cfg):
         assert event == TrainEvent(epoch=0, scene_id=sid, **fields)
     assert len(opt.steps) == max(len(windows) for windows, _ in solos)
     for w, step in enumerate(opt.steps):
-        expect = _average_grads([windows[w] for windows, _ in solos if w < len(windows)])
+        expect = running_mean_grads([windows[w] for windows, _ in solos if w < len(windows)])
         assert sorted(step) == sorted(expect) == ["dd", "mask", "vv"]
         for name in expect:
             for key, g in expect[name].items():
@@ -512,7 +526,7 @@ def test_train_rejects_empty_inputs():
 def test_train_one_epoch_two_scenes_two_events(tmp_path):
     cfg = TrainConfig(epochs=1, scenes_per_epoch=2, batch_size=8,
                       duration=0.6, validation_scenes=0)
-    sampler = SceneSampler.from_config(cfg, "train")
+    sampler = SceneSampler(duration=cfg.duration)
     log = tmp_path / "log.jsonl"
     nets, events = train(small_nets(), sampler, cfg, log_path=str(log))
     assert len(events) == 2
@@ -528,8 +542,8 @@ def test_train_one_epoch_two_scenes_two_events(tmp_path):
 def test_train_deterministic_event_stream():
     cfg = TrainConfig(epochs=1, scenes_per_epoch=2, batch_size=2,
                       duration=0.6, validation_scenes=0, lr=1e-4)
-    run1 = train(small_nets(), SceneSampler.from_config(cfg, "train"), cfg)
-    run2 = train(small_nets(), SceneSampler.from_config(cfg, "train"), cfg)
+    run1 = train(small_nets(), SceneSampler(duration=cfg.duration), cfg)
+    run2 = train(small_nets(), SceneSampler(duration=cfg.duration), cfg)
     assert [e.to_json() for e in run1[1]] == [e.to_json() for e in run2[1]]
     for name in run1[0]:
         for key in run1[0][name].params:
@@ -540,7 +554,7 @@ def test_train_deterministic_event_stream():
 def test_train_keeps_best_checkpoint(tmp_path):
     cfg = TrainConfig(epochs=2, scenes_per_epoch=2, batch_size=2,
                       duration=0.6, validation_scenes=1, validation_gain=1.5)
-    sampler = SceneSampler.from_config(cfg, "train")
+    sampler = SceneSampler(duration=cfg.duration)
     val = SceneSampler(seed=9, split="test", duration=0.6)
     nets, _ = train(small_nets(), sampler, cfg,
                     val_sampler=val, checkpoint_dir=str(tmp_path))
@@ -596,6 +610,22 @@ def test_checkpoint_refuses_another_suppressor_spec(tmp_path):
         load_checkpoint(str(tmp_path))
     save_checkpoint(make_default_nets(129, mask_hidden=(8,)), str(tmp_path), other)
     assert load_checkpoint(str(tmp_path), other)["mask"].output_size == 129
+
+
+def test_checkpoint_refuses_nets_of_another_bin_count(tmp_path):
+    # 65-bin nets under a 129-bin spec: nothing is written
+    wide = SuppressorSpec(StftConfig(frame_len=256, hop=128), FdkfConfig())
+    with pytest.raises(ValueError, match="net 'mask' maps 130 -> 65 features; a 129-bin "
+                                         "suppressor needs 258 -> 129"):
+        save_checkpoint(make_default_nets(65), str(tmp_path / "wide"), wide)
+    assert not (tmp_path / "wide").exists()
+    # the mask net reads two frames per bin, the covariance nets one
+    with pytest.raises(ValueError, match="net 'mask' maps 65 -> 65 features; a 65-bin "
+                                         "suppressor needs 130 -> 65"):
+        save_checkpoint({"mask": small_nets()["vv"]}, str(tmp_path / "narrow"))
+    with pytest.raises(ValueError, match="net 'dd' maps 130 -> 65"):
+        save_checkpoint({"dd": small_nets()["mask"]}, str(tmp_path / "narrow"))
+    assert not (tmp_path / "narrow").exists()
 
 
 def test_checkpoint_missing_dir():
