@@ -11,7 +11,9 @@ The processor rebuilds its own loudspeaker reference: playback is the
 processor's past output, amplified, delayed and clipped exactly the way the
 loop does it, so no second capture channel is needed.  The loop delay fixes
 that reference a span ahead (the most whole hops within the shortest row
-delay), so the mirror transforms a span's reference frames at once.  Between
+delay), so the mirror transforms a span's reference frames at once.  A
+call may hand over many microphone hops; those within one span are analysed
+and synthesised at once, with one filter frame per hop.  Between
 begin_window() and end_window() every per-frame intermediate is recorded,
 and the window loss is backpropagated through the mask application, the
 covariance injection and (unless stop_grad_filter is set) the Kalman
@@ -41,16 +43,17 @@ class SuppressorSpec:
 class KalmanAhs:
     """Frame-synchronous suppressor usable directly as a loop callback.
 
-    Call it with one hop of microphone samples, get one hop of output;
-    ``latency`` declares the fixed analysis/synthesis delay.  ``gain``,
+    Call it with any whole number of hops of microphone samples, get as
+    many hops of output, bit for bit those of one-hop calls; ``latency``
+    declares the fixed analysis/synthesis delay.  ``gain``,
     ``delay_samples`` and ``sat`` must match the loop the processor runs in —
     they drive the internal loudspeaker mirror, which turns the processor's
     own output into reference frames (and mask-net features) a span at a time.
 
     Tuples of ``gain``, ``delay_samples`` and ``sat``, one value per row,
     build a multi-row processor: one independent stream per row, called
-    with (B, hop) chunks and returning (B, hop) chunks, as a stack of
-    scenes hands them over.  Every array it keeps and records carries the
+    with (B, k * hop) chunks and returning (B, k * hop) chunks, as a stack
+    of scenes hands them over.  Every array it keeps and records carries the
     leading row axis, every reduction runs over the last axis, and each row
     is bitwise the processor it would be alone, training windows included.
     ``spec`` gives the transform and filter (``SuppressorSpec()`` when omitted).
@@ -138,15 +141,59 @@ class KalmanAhs:
     # ----------------------------------------------------------- processing
 
     def __call__(self, chunk):
-        """One hop in, one hop out, mirroring the loudspeaker internally."""
-        if self._x_next == self._span:
-            self._mirror_span()
-        j = self._x_next
-        feat = None if self._x_feats is None else self._x_feats[..., j, :]
-        out = self._process_hop(chunk, self._x_frames[..., j, :], feat)
+        """Whole hops of microphone samples in, as many hops out, mirroring
+        the loudspeaker internally.
+
+        A chunk of k hops gives the bits of k one-hop calls.  It is cut where
+        the mirror's spans end, and each piece is transformed, synthesised
+        and recorded at once, with one Kalman frame per hop.
+        """
+        hop, y = self.cfg.hop, np.asarray(chunk, dtype=np.float64)
+        if y.shape[-1] == hop:  # one hop, as training and live streams call it
+            if self._x_next == self._span:
+                self._mirror_span()
+            j = self._x_next
+            feat = None if self._x_feats is None else self._x_feats[..., j, :]
+            out = self._process_hop(y, self._x_frames[..., j, :], feat)
+            start = self._played.shape[-1] - (self._span - j) * hop
+            self._played[..., start:start + hop] = out
+            self._x_next = j + 1
+            return out
+        k = y.shape[-1] // hop
+        if k < 1 or y.shape[-1] != k * hop:
+            raise ValueError(f"chunk must be whole hops of {hop} per row, got {y.shape}")
+        y = y.reshape(y.shape[:-1] + (k, hop))
+        pieces, done = [], 0
+        while done < k:
+            if self._x_next == self._span:
+                self._mirror_span()
+            n = min(k - done, self._span - self._x_next)
+            pieces.append(self._process_hops(y[..., done:done + n, :]))
+            done += n
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-1)
+
+    def _process_hops(self, y_hops):
+        """Outputs of the (..., n, hop) microphone hops from ``_x_next`` on,
+        all within one mirror span, kept for the mirror."""
+        j, n = self._x_next, y_hops.shape[-2]
+        Y = self._stft_y.push(y_hops)
+        feats = None
+        if self.mask_net is not None:
+            # each hop's features, then the previous reference frame's
+            bins = Y.shape[-1]
+            feats = np.empty(Y.shape[:-1] + (2 * bins,))
+            feats[..., :bins] = normalize_log_power(log_power(Y))
+            feats[..., 0, bins:] = self._x_feat
+            feats[..., 1:, bins:] = self._x_feats[..., j:j + n - 1, :]
+            self._x_feat = self._x_feats[..., j + n - 1, :]
+        S = np.empty(Y.shape, dtype=np.complex128)
+        for i in range(n):
+            S[..., i, :] = self._kalman_frame(Y[..., i, :], self._x_frames[..., j + i, :],
+                                              None if feats is None else feats[..., i, :])
+        out = self._istft.push(S)
         start = self._played.shape[-1] - (self._span - j) * self.cfg.hop
-        self._played[..., start:start + self.cfg.hop] = out
-        self._x_next = j + 1
+        self._played[..., start:start + out.shape[-1]] = out
+        self._x_next = j + n
         return out
 
     def _mirror_span(self):
@@ -172,14 +219,22 @@ class KalmanAhs:
         """
         x_frame = self._stft_x.push(np.asarray(x_chunk, dtype=np.float64))
         feat = None if self.mask_net is None else normalize_log_power(log_power(x_frame))
-        return self._process_hop(y_chunk, x_frame, feat)
+        return self._process_hop(np.asarray(y_chunk, dtype=np.float64), x_frame, feat)
 
     def _process_hop(self, y_chunk, x_raw, x_feat):
-        y_frame = self._stft_y.push(np.asarray(y_chunk, dtype=np.float64))
+        y_frame = self._stft_y.push(y_chunk)
+        feat = None
+        if self.mask_net is not None:
+            feat = np.concatenate([normalize_log_power(log_power(y_frame)), self._x_feat], axis=-1)
+        s_hat = self._kalman_frame(y_frame, x_raw, feat)
+        self._x_feat = x_feat
+        return self._istft.push(s_hat)
+
+    def _kalman_frame(self, y_frame, x_raw, feat):
+        """One filter frame; ``feat`` is the mask net's input when it has one."""
         filt = self.filt
         mcache = None
         if self.mask_net is not None:
-            feat = np.concatenate([normalize_log_power(log_power(y_frame)), self._x_feat], axis=-1)
             m, self._mask_state, mcache = self.mask_net.step(feat, self._mask_state)
             ref = mask_apply(m, y_frame)
         else:
@@ -207,14 +262,13 @@ class KalmanAhs:
             # mutates afterwards, so references suffice
             self._tape.append({
                 "y": y_frame, "mcache": mcache,
-                "hist": filt.X_hist, "xpow": filt.X_pow,
+                "hist": filt.X_hist,
                 "denom": filt.denom, "inv_denom": filt.inv_denom,
                 "W": W_pre, "P": P_pre, "s_hat": s_hat, "K": K,
                 "vcache": vcache, "dcache": dcache, "rss": rss,
                 "pos": filt.P > 0,
             })
-        self._x_feat = x_feat
-        return self._istft.push(s_hat)
+        return s_hat
 
     # ------------------------------------------------------------- training
 
@@ -314,7 +368,9 @@ class KalmanAhs:
             gS = gS + A * np.sum(gW * conj_K, axis=-1)
 
             # gain K = P conj(X) / (sum |X|^2 P + vv + eps), as taped
-            xpow, denom = e["xpow"], e["denom"]
+            # |X|^2 elementwise, as push_reference computed it; taping it
+            # would repeat each power once per tap
+            xpow, denom = X.real**2 + X.imag**2, e["denom"]
             PX = P * X  # conj(P conj(X))
             g_t1 = gK * e["inv_denom"][..., None]
             gdenom = -np.sum((gK * PX).real, axis=-1) / (denom * denom)

@@ -3,8 +3,9 @@
 A run config is a JSON object with one section per library object: each
 section is exactly the keyword arguments of one constructor, and every value
 has the library default, so an empty file (or no file at all) reproduces the
-stock pipeline.  Unknown sections or keys are rejected outright — a typo
-should fail loudly, not silently fall back.
+stock pipeline.  Unknown sections or keys are rejected outright, and so
+is a value of another JSON type than its default (any number where the
+default is a number) — a typo should fail loudly, not silently fall back.
 
 Sections, with the subcommands that read them:
     seed      master seed: the scenes of simulate, suppress --synthetic and
@@ -62,6 +63,20 @@ def default_config() -> dict:
     }
 
 
+# keys that may be null, with a value of the type they take otherwise
+_NULLABLE = {"trainer.clip_norm": 0.0, "paths.checkpoint": "", "paths.corpus_dir": ""}
+
+
+def _fits(default, value) -> bool:
+    """Is ``value`` of the JSON type of ``default``?  Any number fits a
+    number, and a list fits when each item fits the default's first."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(default[0], item) for item in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     for key, value in override.items():
         path = f"{prefix}{key}"
@@ -71,8 +86,15 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section {path!r} must be an object")
             _merge(base[key], value, prefix=f"{path}.")
+            continue
+        if path in _NULLABLE:
+            ok = value is None or _fits(_NULLABLE[path], value)
         else:
-            base[key] = value
+            ok = _fits(base[key], value)
+        if not ok:
+            raise ConfigError(f"config key {path!r} takes a value like {base[key]!r}, "
+                              f"got {value!r}")
+        base[key] = value
     return base
 
 

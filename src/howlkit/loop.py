@@ -139,8 +139,8 @@ class SceneResult:
 
 
 class IdentityAhs:
-    """Pass-through suppressor: returns the microphone frame (or, in a
-    stack, one frame per row) unchanged."""
+    """Pass-through suppressor: returns the microphone chunk (or, in a
+    stack, one chunk per row) unchanged, whatever its length."""
 
     latency = 0
 
@@ -189,13 +189,15 @@ def delayed(x, t, span, delays):
 class ClosedLoop:
     """Resumable closed-loop engine.
 
-    run_scene drives one start to finish; training drives it frame by frame
-    so weight updates can interleave with the simulation.  ``ahs`` is called
-    once per ``frame_size`` microphone samples and must return that many
-    output samples; its fixed pipeline delay is read from ``ahs.latency``
-    (0 when absent).  ``frame_size`` may not exceed the scene delay — each
-    frame is handed over before its own output can reach the microphone.
-    Trailing samples that do not fill a whole frame are dropped.
+    run_scene drives one start to finish a span at a time (``step_span``);
+    training drives it frame by frame (``step_frame``) so weight updates can
+    interleave with the simulation, and the two steps mix freely.  ``ahs``
+    is called with any whole number k >= 1 of frames, (..., k * frame_size)
+    microphone samples, and must return that many output samples; its fixed
+    pipeline delay is read from ``ahs.latency`` (0 when absent).
+    ``frame_size`` may not exceed the scene delay — each frame is handed
+    over before its own output can reach the microphone.  Trailing samples
+    that do not fill a whole frame are dropped.
 
     ``scene`` may also be a stack: a list of scenes of equal length, one per
     row, each with its own target, gain, delay, clip and feedback path (a
@@ -203,14 +205,15 @@ class ClosedLoop:
     is (B, n) but ``s``, which lists views of the scenes' own targets.
     ``s_frame`` holds the target samples of the frame last stepped.
     ``howl_event`` is a list with one entry per row, and ``ahs`` maps
-    (B, frame_size) frames to (B, frame_size) frames.  Each row is bitwise
-    the run its scene gives alone.
+    (B, k * frame_size) chunks to (B, k * frame_size) chunks.  Each row is
+    bitwise the run its scene gives alone.
 
     No microphone sample within one loop delay of the frames stepped hears
     a frame not yet stepped, so ``d`` and ``y`` are filled a span at a time
     (the most whole frames within the shortest row delay) by one feedback
     path call, and may hold samples up to one span beyond ``frames_done``.
-    ``result()`` still truncates every stream to the frames run.
+    ``step_span`` hands the suppressor the rest of the filled span in one
+    call.  ``result()`` still truncates every stream to the frames run.
     """
 
     def __init__(self, scene, ahs, det: Optional[HowlDetectorConfig] = None,
@@ -307,15 +310,25 @@ class ClosedLoop:
     def step_frame(self) -> bool:
         """Advance one frame; returns True if howling fired within it (in
         any row of a stack)."""
+        return self._step(False)
+
+    def step_span(self) -> bool:
+        """Advance every frame up to the end of the filled span (filling
+        the next span first when none is left) with one suppressor call;
+        returns True if howling fired within them (in any row of a stack)."""
+        return self._step(True)
+
+    def _step(self, span):
         if self.frames_done >= self.total_frames:
             raise RuntimeError("scene already fully processed")
         t = self._t
         if t == self._end:
             self._fill(t)
-        sl = slice(t, t + self.frame_size)
+        n = self._end - t if span else self.frame_size
+        sl = slice(t, t + n)
         out = np.asarray(self.ahs(self.y[..., sl]), dtype=np.float64)
-        if out.shape != self._frame_shape:
-            raise ValueError("suppressor returned a frame of the wrong length")
+        if out.shape != self._frame_shape[:-1] + (n,):
+            raise ValueError("suppressor returned a chunk of the wrong length")
         self.s_hat[..., sl] = out
         # np.clip's values for a clip above 0, without its wrapper's overhead
         self.x[..., sl] = np.minimum(np.maximum(self._gain * out, -self._sat), self._sat)
@@ -328,7 +341,7 @@ class ClosedLoop:
                 for row in np.flatnonzero(hit >= 0):
                     if self.howl_event[row] is None:
                         self.howl_event[row] = t + int(hit[row])
-        self._t = t + self.frame_size
+        self._t = t + n
         return hit is not None
 
     def _fill(self, t):
@@ -378,14 +391,17 @@ def run_scene(scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
               frame_size: int = 64):
     """Run a suppressor through a whole scene inside the closed loop.
 
-    Divergence never raises: the loudspeaker clip bounds every stream, and a
-    sustained loud suppressor output is reported through the result's
-    ``howl_event`` (the run always completes full length).  Returns a
-    SceneResult, or for a stack of scenes a tuple of them, one per row.
+    The suppressor is called once per filled span (the most whole frames
+    within the shortest loop delay), with all of its frames; see ClosedLoop
+    for the call contract.  Divergence never raises: the loudspeaker clip
+    bounds every stream, and a sustained loud suppressor output is reported
+    through the result's ``howl_event`` (the run always completes full
+    length).  Returns a SceneResult, or for a stack of scenes a tuple of
+    them, one per row.
     """
     engine = ClosedLoop(scene, ahs, det=det, frame_size=frame_size)
-    for _ in range(engine.total_frames):
-        engine.step_frame()
+    while engine.frames_done < engine.total_frames:
+        engine.step_span()
     return engine.result()
 
 

@@ -191,8 +191,9 @@ def evaluate(scenes, variants, gains=(1.5, 2.0, 2.5, 3.0), det: HowlDetectorConf
     ``scenes`` are templates whose gain field is overridden: each factory is
     called once per (variant, scene) with a stack, the list of
     ``len(gains)`` copies ``replace(scene, gain=g)``, and must return a
-    suppressor that maps (B, hop) frames to (B, hop) frames; all gains then
-    run in lockstep.  Each row is bitwise the scalar-gain run's, for
+    suppressor that maps (B, k * hop) chunks to (B, k * hop) chunks (one
+    call per filled span, as run_scene makes them); all gains then run in
+    lockstep.  Each row is bitwise the scalar-gain run's, for
     IdentityAhs and for KalmanAhs with or without nets.  The copies share
     each template's target, so it is reverberated once per scene, and its
     log spectrum is taken once.  Rows come in a fixed order: variant name,

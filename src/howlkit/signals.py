@@ -208,13 +208,14 @@ class StreamingStft:
 
 
 class StreamingIstft:
-    """Hop-synchronous synthesis: push one frame, get one finished hop.
+    """Hop-synchronous synthesis: push frames, get one finished hop per frame.
 
     The emitted hop for frame m is the fully overlap-added region
     [(m-1)*hop, m*hop), so the round trip through StreamingStft and
     StreamingIstft delays the stream by exactly frame_len - hop samples.
-    With ``rows`` it synthesises that many streams from (rows, num_bins)
-    frames.
+    k successive frames pushed as (k, num_bins) give the k*hop samples of k
+    one-frame pushes, bit for bit.  With ``rows`` it synthesises that many
+    streams from (rows, num_bins) or (rows, k, num_bins) frames.
     """
 
     def __init__(self, cfg: StftConfig, rows: Optional[int] = None):
@@ -232,6 +233,17 @@ class StreamingIstft:
     def push(self, frame: np.ndarray) -> np.ndarray:
         hop = self.cfg.hop
         seg = np.fft.irfft(frame, n=self.cfg.fft_size) * self._win
+        if frame.ndim == self._ola.ndim + 1:
+            # each frame's tail, added to +0.0 as the one-frame buffer does,
+            # overlaps the next frame's head; the first head meets the buffer's
+            tails = seg[..., hop:] + 0.0
+            heads = seg[..., :hop]
+            heads[..., 0, :] += self._ola[..., :hop]
+            heads[..., 1:, :] += tails[..., :-1, :]
+            self._ola[..., :hop] = tails[..., -1, :]
+            self._ola[..., hop:] = 0.0
+            heads /= self._gain
+            return heads.reshape(self._ola.shape[:-1] + (-1,))
         self._ola += seg
         out = self._ola[..., :hop] / self._gain
         self._ola[..., :-hop] = self._ola[..., hop:]

@@ -10,7 +10,7 @@ from scipy.signal import lfilter
 from howlkit.ahs import KalmanAhs, SuppressorSpec
 from howlkit.fdkf import FdkfConfig
 from howlkit.loop import ClosedLoop, LoopScene, run_scene
-from howlkit.nets import LstmNet, make_cov_dd_net, make_cov_vv_net, make_mask_net
+from howlkit.nets import HiddenState, LstmNet, make_cov_dd_net, make_cov_vv_net, make_mask_net
 from howlkit.rooms import Rir, RoomSpec, generate_rir
 from howlkit.signals import StftConfig, TimeSignal
 from oracles import fifo_loudspeaker, per_frame_weight_grads
@@ -236,6 +236,119 @@ def test_deterministic_and_ablation_outputs_distinct():
     for i, a in enumerate(kinds):
         for b in kinds[i + 1:]:
             assert not np.array_equal(outputs[a], outputs[b]), (a, b)
+
+
+# ------------------------------------------------------------- span calls
+# A call with k hops gives the bits of k one-hop calls, wherever the
+# mirror's spans end and wherever a stack loses rows.
+
+SPAN_KS = (1, 2, 36, 37, 38, 3 * 37 + 5)  # around spans of 37 hops
+
+
+def span_nets(kind):
+    nets = default_nets()
+    return {"classical": {}, "mask": {"mask_net": nets["mask_net"]}, "full": nets}[kind]
+
+
+def call_in_chunks(ahs, y, k, hop, cut=None, kept=None):
+    """Outputs of ``ahs`` fed ``y`` in chunks of ``k`` hops, a chunk ending
+    at hop ``cut``, after which only the ``kept`` rows go on; returns the
+    outputs before and after the cut."""
+    parts, t, total = [[], []], 0, y.shape[-1] // hop
+    while t < total:
+        end = min(t + k, total)
+        if cut is not None and t < cut < end:
+            end = cut
+        out = ahs(y[..., t * hop:end * hop])
+        assert out.shape == y.shape[:-1] + ((end - t) * hop,)
+        parts[cut is not None and t >= cut].append(out)
+        t = end
+        if t == cut:
+            ahs.keep(kept)
+            y = y[kept]
+    return [np.concatenate(p, axis=-1) if p else None for p in parts]
+
+
+@pytest.mark.parametrize("kind", ["classical", "mask", "full"])
+def test_span_calls_equal_one_hop_calls_solo(kind):
+    y = speech_like(1.0, 16).samples[:200 * 64]
+    want = call_in_chunks(KalmanAhs(2.0, 2401, **span_nets(kind)), y, 1, 64)[0]
+    assert np.max(np.abs(want)) > 0.1
+    for k in SPAN_KS:
+        got = call_in_chunks(KalmanAhs(2.0, 2401, **span_nets(kind)), y, k, 64)[0]
+        assert got.tobytes() == want.tobytes(), k
+
+
+@pytest.mark.parametrize("delays", [(64, 2401, 4000), (2401, 4000, 3203)],
+                         ids=["span1", "span37"])
+@pytest.mark.parametrize("kind", ["classical", "mask", "full"])
+def test_span_calls_equal_one_hop_calls_stacked_with_a_cut(kind, delays):
+    y = np.stack([speech_like(0.8, 17 + i).samples[:180 * 64] for i in range(3)])
+
+    def run(k):
+        ahs = KalmanAhs((1.5, 2.0, 2.5), delays, sat=(1.0, 0.5, 1.0), **span_nets(kind))
+        return call_in_chunks(ahs, y, k, 64, cut=120, kept=[2, 0])
+
+    head, tail = run(1)
+    for k in SPAN_KS:
+        got = run(k)
+        assert got[0].tobytes() == head.tobytes(), k
+        assert got[1].tobytes() == tail.tobytes(), k
+
+
+def _leaves(tree):
+    if isinstance(tree, (list, tuple)):
+        return [leaf for item in tree for leaf in _leaves(item)]
+    if isinstance(tree, dict):
+        return [leaf for key in sorted(tree) for leaf in _leaves(tree[key])]
+    if isinstance(tree, HiddenState):
+        return _leaves([tree.h, tree.c])
+    return [tree]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stack"])
+def test_span_calls_record_the_tape_of_one_hop_calls(stacked):
+    # tiny spans of 12 hops (100 samples over 8-sample hops); the window
+    # opens after 5 hops and records 41
+    gains, delays, sat = ((1.3, 1.1, 0.9), (100, 130, 177), (1.0, 0.3, 1.0)) if stacked else (
+        1.3, 100, 1.0)
+    lead = (3,) if stacked else ()
+    rng = np.random.default_rng(50)
+    ys = 0.4 * rng.standard_normal(lead + (46 * 8,))
+    targets = rng.uniform(0.0, 0.2, (41,) + lead + (9,))
+
+    def window(k):
+        ahs = KalmanAhs(gains, delays, sat=sat, spec=TINY_SPEC, **tiny_nets())
+        call_in_chunks(ahs, ys[..., :5 * 8], k, 8)
+        ahs.begin_window()
+        call_in_chunks(ahs, ys[..., 5 * 8:], k, 8)
+        tape = [_leaves(entry) for entry in ahs._tape]
+        loss, grads = ahs.end_window(targets)
+        return tape, loss, grads
+
+    tape, loss, grads = window(1)
+    for k in (2, 11, 12, 13, 41):
+        got_tape, got_loss, got_grads = window(k)
+        assert len(got_tape) == len(tape) == 41
+        for got_entry, entry in zip(got_tape, tape):
+            for got, want in zip(got_entry, entry):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), k
+        assert np.asarray(got_loss).tobytes() == np.asarray(loss).tobytes()
+        for name, tree in grads.items():
+            for key, g in tree.items():
+                assert got_grads[name][key].tobytes() == g.tobytes(), (k, name, key)
+
+
+def test_span_calls_refuse_chunks_of_part_hops():
+    ahs = KalmanAhs(2.0, 2401)
+    for bad in (np.zeros(100), np.zeros(0), np.zeros((2, 128))):
+        with pytest.raises(ValueError, match="whole hops"):
+            ahs(bad)
+    # a list of samples is taken like the array of them
+    y = speech_like(0.1, 19).samples[:3 * 64]
+    lists, arrays = KalmanAhs(2.0, 2401), KalmanAhs(2.0, 2401)
+    for chunk in (y[:64], y[64:]):
+        assert lists(chunk.tolist()).tobytes() == arrays(chunk).tobytes()
 
 
 # ------------------------------------------------------- window bookkeeping

@@ -100,6 +100,11 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
         TINY_TRAIN["trainer"], delay_range=[0.15, 0.25])), EXIT_CONFIG),
     (["train", "--synthetic"], dict(TINY_TRAIN, neural={"stop_grad_filter": True}),
      EXIT_CONFIG),
+    # a value of another JSON type than its default
+    (["simulate", "--count", 1], {"sampler": {"duration": "4"}}, EXIT_CONFIG),
+    (["simulate", "--count", 1], {"loop": {"gain": "2"}}, EXIT_CONFIG),
+    (["simulate", "--count", 1], {"trainer": {"epochs": "3"}}, EXIT_CONFIG),
+    (["train", "--synthetic"], dict(TINY_TRAIN, neural={"mask_hidden": 8}), EXIT_CONFIG),
 ], ids=["eval-missing-checkpoint", "eval-zero-delay-scene", "train-short-delay",
         "train-long-window", "suppress-in-short-delay", "suppress-in-none-short-delay",
         "suppress-synthetic-short-delay", "eval-checkpoint-other-taps",
@@ -107,7 +112,8 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
         "suppress-checkpoint-other-frame-len", "eval-checkpoint-without-spec",
         "suppress-checkpoint-without-spec", "simulate-loop-duration", "rir-trainer-rt60-range",
         "eval-trainer-gain-range", "train-trainer-delay-range",
-        "train-neural-stop-grad-filter"])
+        "train-neural-stop-grad-filter", "simulate-string-duration", "simulate-string-gain",
+        "simulate-string-epochs", "train-scalar-mask-hidden"])
 def test_refused_runs_write_nothing(tmp_path, capsys, argv, data, code):
     write_wav(tmp_path / "mic.wav", np.full(2000, 0.1), 16000, fmt="float32")
     save_checkpoint(RunConfig().nets(), str(tmp_path / "ckpt"))

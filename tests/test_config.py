@@ -60,6 +60,34 @@ def test_unknown_keys_rejected_with_dotted_path(data, dotted):
         RunConfig(data)
 
 
+@pytest.mark.parametrize("data, dotted", [
+    ({"sampler": {"duration": "4"}}, "sampler.duration"),
+    ({"loop": {"gain": "2"}}, "loop.gain"),
+    ({"trainer": {"epochs": "3"}}, "trainer.epochs"),
+    ({"neural": {"mask_hidden": 8}}, "neural.mask_hidden"),
+    ({"neural": {"mask_hidden": [8, 4.5]}}, "neural.mask_hidden"),
+    ({"trainer": {"epochs": 3.0}}, "trainer.epochs"),
+    ({"trainer": {"stop_grad_filter": 1}}, "trainer.stop_grad_filter"),
+    ({"sampler": {"gain_range": [1.0, None]}}, "sampler.gain_range"),
+    ({"loop": {"sat": True}}, "loop.sat"),
+    ({"loop": {"gain": None}}, "loop.gain"),
+    ({"paths": {"out_dir": None}}, "paths.out_dir"),
+    ({"stft": {"window": 3}}, "stft.window"),
+])
+def test_values_of_another_type_are_rejected(data, dotted):
+    with pytest.raises(ConfigError, match=dotted.replace(".", r"\.")):
+        RunConfig(data)
+
+
+def test_values_of_the_default_type_are_accepted():
+    cfg = RunConfig({"loop": {"gain": 3}, "sampler": {"gain_range": [1, 2.5]},
+                     "trainer": {"clip_norm": None, "lr": 1},
+                     "paths": {"checkpoint": "ckpt", "corpus_dir": None}})
+    assert cfg.loop_knobs()["gain"] == 3
+    assert cfg.trainer().clip_norm is None
+    assert cfg.paths()["checkpoint"] == "ckpt"
+
+
 def test_section_must_be_an_object():
     with pytest.raises(ConfigError, match="stft.*object"):
         RunConfig({"stft": 3})

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from howlkit.ahs import KalmanAhs
 from howlkit.loop import (
     ClosedLoop,
     HowlDetectorConfig,
@@ -525,3 +526,89 @@ def test_nan_from_the_suppressor_mid_span_poisons_the_same_sample():
     rows = run_scene([scene, replace(scene, gain=0.7)], _NanAt(at))
     assert_matches_reference(rows[0], ref)
     assert_matches_reference(rows[1], reference_run(replace(scene, gain=0.7), IdentityAhs(), 64))
+
+
+# ------------------------------------------------------------- span steps
+# run_scene hands the suppressor one filled span per call; a span call gives
+# the bits of the span's one-frame calls.
+
+
+class _Recorder:
+    """Identity that records the shape of every chunk it is handed."""
+
+    latency = 0
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, chunk):
+        self.shapes.append(chunk.shape)
+        return np.array(chunk, dtype=np.float64)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stack"])
+def test_run_scene_makes_one_call_per_filled_span(stacked):
+    # 2401 samples hold 37 whole 64-sample frames: spans of 2368 samples, and
+    # 16000 samples are 250 frames, six whole spans and 28 frames over
+    scene = LoopScene(noise_signal(1.0, 21, peak=0.3), coupled_rir(), gain=1.5,
+                      delay=2401 / FS)
+    scenes = [scene, replace(scene, delay=4000 / FS)] if stacked else scene
+    rec = _Recorder()
+    rows = run_scene(scenes, rec)
+    lead = (2,) if stacked else ()
+    assert rec.shapes == [lead + (2368,)] * 6 + [lead + (28 * 64,)]
+    frame_by_frame = ClosedLoop(scenes, IdentityAhs())
+    while frame_by_frame.frames_done < frame_by_frame.total_frames:
+        frame_by_frame.step_frame()
+    for row, want in zip(np.atleast_1d(rows), np.atleast_1d(frame_by_frame.result())):
+        assert row.howl_event == want.howl_event
+        for name in ("y", "s_hat", "x", "d"):
+            assert getattr(row, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("delay", [2401, 64, 300])
+def test_run_scene_with_kalman_equals_per_hop_reference_bitwise(delay):
+    scene = LoopScene(noise_signal(1.0, delay, peak=0.3), coupled_rir(), gain=2.5,
+                      delay=delay / FS)
+    row = run_scene(scene, KalmanAhs.for_scene(scene))
+    ref = reference_run(scene, KalmanAhs.for_scene(scene), 64)
+    assert np.max(np.abs(ref[3])) > 0.1  # the loudspeaker is far from silent
+    assert_matches_reference(row, ref)
+
+
+# which step each frame count takes: frame, span, or frames then spans
+STEP_PATTERNS = {
+    "frames": lambda i: "frame",
+    "spans": lambda i: "span",
+    "mixed": lambda i: ("frame", "frame", "span", "frame", "span", "span")[i % 6],
+}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["solo", "stack"])
+def test_mixed_frame_and_span_steps_give_the_same_bits(stacked):
+    scene = LoopScene(noise_signal(1.0, 22, peak=0.3), coupled_rir(), gain=2.5,
+                      delay=2401 / FS)
+    scenes = [scene, replace(scene, gain=1.0, delay=3203 / FS)] if stacked else scene
+    det = HowlDetectorConfig(amp_threshold=0.22, run_length=1)  # fires in the second span
+    results, fired = {}, {}
+    for name, pattern in STEP_PATTERNS.items():
+        engine = ClosedLoop(scenes, KalmanAhs.for_scene(scenes), det=det)
+        i, fired[name] = 0, []
+        while engine.frames_done < engine.total_frames:
+            start = engine.frames_done
+            step = engine.step_frame if pattern(i) == "frame" else engine.step_span
+            howled = step()
+            fired[name].append((start, engine.frames_done, howled))
+            i += 1
+        results[name] = np.atleast_1d(engine.result())
+    for name in ("spans", "mixed"):
+        for got, want in zip(results[name], results["frames"]):
+            assert got.howl_event == want.howl_event
+            for stream in ("y", "s_hat", "x", "d"):
+                assert getattr(got, stream).tobytes() == getattr(want, stream).tobytes()
+    # the first step to report a howl holds the first onset
+    onset = min(row.howl_event for row in results["frames"] if row.howl_event) // 64
+    assert onset > 37
+    for steps in fired.values():
+        start, end, _ = next(step for step in steps if step[2])
+        assert start <= onset < end

@@ -168,6 +168,28 @@ def test_streaming_stft_multi_hop_push_equals_one_hop_pushes(rows):
             many.push(bad)
 
 
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e-322], ids=["unit", "subnormal"])
+def test_streaming_istft_multi_frame_push_equals_one_frame_pushes(rows, scale):
+    # a push of k frames gives the k hops of k one-frame pushes, bit for bit;
+    # at subnormal scale many windowed samples round to -0.0, and a tail of
+    # -0.0 is carried as +0.0, as the one-frame buffer adds it to its zeros
+    rng = np.random.default_rng(8)
+    lead = () if rows is None else (rows,)
+    frames = scale * (rng.standard_normal(lead + (16, 65))
+                      + 1j * rng.standard_normal(lead + (16, 65)))
+    segs = np.fft.irfft(frames, n=128) * CFG.synthesis_window
+    assert scale == 1.0 or np.signbit(segs[..., 64:][segs[..., 64:] == 0]).sum() > 100
+    one, many = StreamingIstft(CFG, rows), StreamingIstft(CFG, rows)
+    want = np.concatenate([one.push(frames[..., i, :]) for i in range(16)], axis=-1)
+    got, t = [], 0
+    for k in (1, 3, 5, 1, 6):
+        got.append(many.push(frames[..., t:t + k, :]))
+        assert got[-1].shape == lead + (64 * k,)
+        t += k
+    assert np.concatenate(got, axis=-1).tobytes() == want.tobytes()
+
+
 def test_streaming_roundtrip_is_pure_delay():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(64 * 20)
