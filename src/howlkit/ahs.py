@@ -408,8 +408,9 @@ class KalmanAhs:
 
             if self.mask_net is not None:
                 gm = (gref * np.conj(e["y"])).real
+                # the mask net's inputs are data features: no input gradient
                 _, mask_sadj = self.mask_net.step_back(e["mcache"], gm, mask_sadj,
-                                                       gate_grads["mask"])
+                                                       gate_grads["mask"], d_input=False)
 
             gW, gP = gW_new, gP_new
         return {name: net.window_grads([e[key] for e in tape], gate_grads[name])

@@ -167,16 +167,18 @@ class LstmNet:
 
     # --------------------------------------------------------------- backward
 
-    def step_back(self, cache, d_out, d_state_next: HiddenState, gate_grads: list):
+    def step_back(self, cache, d_out, d_state_next: HiddenState, gate_grads: list,
+                  d_input: bool = True):
         """Backprop one frame.
 
         d_out is dL/d(output); d_state_next carries dL/dh and dL/dc flowing
         back from the following time step.  The frame's readout and per-layer
         gate gradients are appended to ``gate_grads``, for window_grads() to
         sum into parameter gradients once the window is reversed.  Returns
-        (d_x, d_state_prev).  For a cache of a stacked step every argument
-        carries the leading row axis, and each row is bitwise its solo step
-        back.
+        (d_x, d_state_prev); d_x is None when ``d_input`` is false, for a
+        caller whose inputs are data, which skips its matrix product.  For a
+        cache of a stacked step every argument carries the leading row axis,
+        and each row is bitwise its solo step back.
         """
         layer_caches, h_last, v, out = cache
         d_out = np.asarray(d_out, dtype=np.float64)
@@ -205,7 +207,8 @@ class LstmNet:
             ], axis=-1)
             d_prev_h[l] = _matvec(self.params[f"wh{l}"].T, dz)
             d_prev_c[l] = dc * f
-            dh = _matvec(self.params[f"wx{l}"].T, dz)  # input of layer l is h of layer l-1
+            # input of layer l is h of layer l-1
+            dh = _matvec(self.params[f"wx{l}"].T, dz) if l or d_input else None
         gate_grads.append((dv, dzs))
         return dh, HiddenState(d_prev_h, d_prev_c)
 

@@ -21,7 +21,6 @@ aside; see StreamingConvolver).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 from scipy.sparse import csr_matrix
 
 SPEED_OF_SOUND = 343.0
@@ -286,6 +285,19 @@ def convolve_batch(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return StreamingConvolver(Rir(taps, 1))._run(x)
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n: ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f = f5
+        while f < best:  # f = 3^j 5^k, doubled until it reaches n
+            best = min(best, f << (-(-n // f) - 1).bit_length())
+            f *= 3
+        f5 *= 5
+    return best
+
+
 def convolve_batch_peak(x: np.ndarray, taps: np.ndarray) -> float:
     """``max |convolve_batch(x, taps)|``, bit for bit, for a fraction of its cost.
 
@@ -300,7 +312,7 @@ def convolve_batch_peak(x: np.ndarray, taps: np.ndarray) -> float:
     n, m = len(x), len(taps)
     if m == 1 or n < 8 * m:
         return float(np.max(np.abs(convolve_batch(x, taps))))
-    size = next_fast_len(n + m - 1, real=True)
+    size = _fft_size(n + m - 1)
     spec = np.fft.rfft(x, size)
     spec *= np.fft.rfft(taps, size)
     approx = np.abs(np.fft.irfft(spec, size)[:n])

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .ahs import KalmanAhs, SuppressorSpec
 from .loop import ClosedLoop, HowlDetectorConfig, LoopScene, run_scene
@@ -47,13 +46,46 @@ def _check_synth_duration(duration: float, sample_rate: int):
     return n, edge
 
 
+def _resonate(x: np.ndarray, sections) -> np.ndarray:
+    """Three 2-pole resonators ``(b0, a1, a2)`` in cascade, in one pass.
+
+    Each one is ``scipy.signal.lfilter([b0], [1.0, a1, a2], ·)`` bit for bit:
+    the loop repeats lfilter's transposed direct form operation for
+    operation, with ``b`` zero-padded to ``[b0, 0.0, 0.0]``, so the zero taps
+    still add ``x * 0.0``, which decides the sign of a zero result.
+    """
+    (b0, a1, a2), (c0, c1, c2), (d0, d1, d2) = sections
+    u0 = u1 = v0 = v1 = w0 = w1 = 0.0
+    out = []
+    put = out.append
+    for x0 in x.tolist():
+        x1 = u0 + b0 * x0
+        z = x0 * 0.0
+        u0 = (u1 + z) - x1 * a1
+        u1 = z - x1 * a2
+        x2 = v0 + c0 * x1
+        z = x1 * 0.0
+        v0 = (v1 + z) - x2 * c1
+        v1 = z - x2 * c2
+        x3 = w0 + d0 * x2
+        z = x2 * 0.0
+        w0 = (w1 + z) - x3 * d1
+        w1 = z - x3 * d2
+        put(x3)
+    return np.array(out, dtype=np.float64)
+
+
 def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSignal:
     """Speech-shaped synthetic utterance: glottal-style pulse train with a
     piecewise pitch contour in 80-300 Hz, three formant resonators, syllabic
     amplitude modulation and occasional pauses.  Peak-normalized to 0.5.
 
     Deterministic in ``seed``; the first segment is always voiced so a scene
-    starts with signal rather than silence.
+    starts with signal rather than silence.  The resonators (:func:`_resonate`)
+    repeat ``scipy.signal.lfilter``'s operations exactly, so every utterance,
+    and with it every scene, keeps the bits it had when lfilter ran them,
+    without loading scipy.signal, the largest import the package would
+    otherwise make.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -76,10 +108,11 @@ def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSi
 
     centers = rng.uniform([400.0, 1200.0, 2200.0], [800.0, 1800.0, 3000.0])
     widths = rng.uniform(80.0, 160.0, 3)
+    sections = []
     for fc, bw in zip(centers, widths):
         r = math.exp(-math.pi * bw / fs)
-        a = [1.0, -2.0 * r * math.cos(2.0 * math.pi * fc / fs), r * r]
-        exc = lfilter([1.0 - r], a, exc)
+        sections.append((1.0 - r, -2.0 * r * math.cos(2.0 * math.pi * fc / fs), r * r))
+    exc = _resonate(exc, sections)
 
     t = np.arange(n) / fs
     am = 0.6 + 0.4 * np.sin(2.0 * np.pi * rng.uniform(2.0, 5.0) * t + rng.uniform(0.0, 2.0 * np.pi))
@@ -462,9 +495,11 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
         for row in good:
             losses[live[row]].append(float(window_losses[row]))
         if good:
-            # the rows' gradients, summed in scene order and averaged
+            # the rows' gradients, summed in scene order and averaged; with
+            # every row good the stack itself is summed, which has the
+            # layout, and so the bits, of its copy g[good]
             scale = 1.0 / len(good)
-            optimizer.step(params, {name: {key: g[good].sum(axis=0) * scale
+            optimizer.step(params, {name: {key: (g[good] if bad else g).sum(axis=0) * scale
                                            for key, g in tree.items()}
                                     for name, tree in grads.items()})
             _assert_finite_weights(nets)

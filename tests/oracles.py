@@ -150,6 +150,14 @@ def per_frame_weight_grads(hidden_sizes, caches, gate_grads):
     return grads
 
 
+def lfilter_resonators(x, sections):
+    """``x`` through one ``lfilter([b0], [1.0, a1, a2], ·)`` per
+    ``(b0, a1, a2)`` section, in turn."""
+    for b0, a1, a2 in sections:
+        x = lfilter([b0], [1.0, a1, a2], x)
+    return x
+
+
 def lfilter_stream(taps, chunks):
     """FIR filtering chunk by chunk with scipy's transposed direct form.
 

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -40,6 +42,23 @@ TINY_TRAIN = {
 
 
 # ---------------------------------------------------------------- plumbing
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # scipy.signal alone loads ~470 modules (stats, special, linalg, ...):
+    # the package and its command line must start on numpy, scipy.sparse
+    # and scipy.io
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, howlkit, howlkit.cli\n"
+            "print('\\n'.join(name for name in sys.modules if name.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    heavy = ("scipy.signal", "scipy.fft", "scipy.stats", "scipy.special")
+    loaded = [name for name in proc.stdout.split()
+              if any(name == pkg or name.startswith(pkg + ".") for pkg in heavy)]
+    assert loaded == []
+    assert "scipy.sparse" in proc.stdout.split()
 
 
 def test_no_arguments_is_a_usage_error(capsys):

@@ -180,6 +180,27 @@ def test_window_grads_equal_per_frame_outer_product_sums(rows, hidden, T):
                 assert got[key][row].tobytes() == value.tobytes(), key
 
 
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_step_back_without_input_gradient_keeps_every_other_bit(rows, hidden):
+    net = LstmNet(4, hidden, 3, "sigmoid", seed=7)
+    caches, _ = stepped_window(net, 1, rows, seed=8)
+    d_out = np.random.default_rng(9).standard_normal(caches[0][3].shape)
+    runs = []
+    for d_input in (True, False):
+        gate_grads = []
+        d_x, d_state = net.step_back(caches[0], d_out, net.init_state(rows), gate_grads,
+                                     d_input=d_input)
+        runs.append((d_x, d_state, gate_grads[0]))
+    (d_x, full_state, (full_dv, full_dzs)), (none, state, (dv, dzs)) = runs
+    assert d_x.shape == caches[0][0][0][0].shape and none is None
+    assert dv.tobytes() == full_dv.tobytes()
+    for l in range(len(hidden)):
+        assert dzs[l].tobytes() == full_dzs[l].tobytes()
+        assert state.h[l].tobytes() == full_state.h[l].tobytes()
+        assert state.c[l].tobytes() == full_state.c[l].tobytes()
+
+
 def test_window_grads_need_one_step_back_per_cache():
     net = LstmNet(4, (6,), 3, "sigmoid", seed=1)
     caches, gate_grads = stepped_window(net, 3, None, seed=2)

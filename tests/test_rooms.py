@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 import howlkit.cli as cli
 from howlkit.rooms import (
     Rir,
     RoomSpec,
     StreamingConvolver,
+    _fft_size,
     convolve_batch,
     convolve_batch_peak,
     generate_rir,
@@ -117,6 +119,10 @@ def test_batch_peak_is_bitwise_the_peak_of_the_direct_form():
         want = np.max(np.abs(convolve_batch(x, taps)))
         got = convolve_batch_peak(x, taps)
         assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_fft_size_is_scipys_next_fast_len():
+    assert [n for n in range(1, 200000) if _fft_size(n) != next_fast_len(n, real=True)] == []
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,11 +2,15 @@
 scene sampler, optimizer plumbing, abort/NaN guards, and checkpointing."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import howlkit.training as training
 from howlkit.ahs import KalmanAhs, SuppressorSpec
 from howlkit.fdkf import FdkfConfig
 from howlkit.loop import ClosedLoop, LoopScene
@@ -16,11 +20,11 @@ from howlkit.signals import ConfigError, StftConfig, StreamingStft, TimeSignal, 
 from howlkit.metrics import sdr
 from howlkit.loop import run_scene
 from howlkit.training import (AdamOptimizer, SceneSampler, SgdOptimizer, TrainConfig,
-                              TrainEvent, _train_batch, _validate, build_ahs,
+                              TrainEvent, _resonate, _train_batch, _validate, build_ahs,
                               load_checkpoint, make_default_nets, save_checkpoint,
                               synth_speech, train)
 from helpers import train_scene
-from oracles import running_mean_grads
+from oracles import lfilter_resonators, running_mean_grads
 
 FS = 16000
 HOP = StftConfig().hop
@@ -122,6 +126,51 @@ def test_synth_speech_seeds_decorrelated():
     b = synth_speech(2, 2.0).samples
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.2
+
+
+def test_synth_speech_is_a_cascade_of_three_lfilter_calls_bitwise(monkeypatch):
+    want = {}
+    for seed in range(50):
+        for duration in (0.012, 0.5, 2.0, 4.0):
+            want[seed, duration] = synth_speech(seed, duration).samples
+    monkeypatch.setattr(training, "_resonate", lfilter_resonators)
+    for (seed, duration), got in want.items():
+        assert got.tobytes() == synth_speech(seed, duration).samples.tobytes(), (seed, duration)
+
+
+# signed zeros, subnormals, tiny and huge magnitudes, and ordinary values;
+# a zero output keeps its sign only while the state is all zeros, so each
+# input leads with a run of signed zeros and smallest subnormals
+_LEADING = st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]), max_size=12)
+_EDGE_SAMPLES = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                     1e-200, -1e-200, 1e200, -1e200]),
+    st.floats(-1e3, 1e3)), min_size=1, max_size=36)
+# synth_speech's resonators (pole radius r at angle theta, gain 1 - r) and
+# coefficients of either sign: the x*0.0 terms show in the sign of a zero
+# output only for some signs of b0, a1 and a2
+_COEFFICIENT = st.one_of(st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0, -0.0]),
+                         st.floats(-1.5, 1.5))
+_SECTIONS = st.lists(st.one_of(
+    st.tuples(st.floats(0.0, 0.999), st.floats(0.0, math.pi)).map(
+        lambda p: (1.0 - p[0], -2.0 * p[0] * math.cos(p[1]), p[0] * p[0])),
+    st.tuples(_COEFFICIENT, _COEFFICIENT, _COEFFICIENT)), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LEADING, _EDGE_SAMPLES, _SECTIONS)
+# zero outputs whose signs change when an x*0.0 term is replaced by +0.0
+# or, past the first resonator, left out (left out, the first resonator's
+# terms changed no output in a random search)
+@example([-5e-324, 0.0, -5e-324, -5e-324, -0.0], [],
+         [(1.0, -0.5, -0.5), (1.0, -0.5, -0.0), (0.0, 0.5, 1.0)])
+@example([5e-324, -5e-324, 0.0, -5e-324], [],
+         [(-1.0, 0.5, -0.0), (-1.0, -0.0, 0.5), (0.5, 0.5, 1.0)])
+@example([0.0, -5e-324, -0.0, 0.0, 5e-324, -5e-324], [],
+         [(1.0, -0.5, -0.5), (-1.0, 0.5, 1.0), (0.5, 1.0, 0.0)])
+def test_resonators_equal_lfilter_bitwise_on_edge_values(leading, samples, sections):
+    x = np.array(leading + samples, dtype=np.float64)
+    assert _resonate(x, sections).tobytes() == lfilter_resonators(x, sections).tobytes()
 
 
 def test_synth_speech_rejects_bad_duration():
