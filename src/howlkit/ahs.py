@@ -16,11 +16,10 @@ call may hand over many microphone hops; those within one span are analysed
 and synthesised at once, with one filter frame per hop.  Between
 begin_window() and end_window() every per-frame intermediate is recorded,
 and the window loss is backpropagated through the mask application, the
-covariance injection and (unless stop_grad_filter is set) the Kalman
-recursion itself, producing exact gradients for all attached networks.
+covariance injection and the Kalman recursion itself, producing exact
+gradients for all attached networks.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +59,19 @@ class KalmanAhs:
     """
 
     def __init__(self, gain, delay_samples, sat=1.0, spec=None,
-                 mask_net=None, vv_net=None, dd_net=None, stop_grad_filter=False):
+                 mask_net=None, vv_net=None, dd_net=None):
         spec = spec if spec is not None else SuppressorSpec()
         stft_cfg, fdkf_cfg = spec.stft, spec.fdkf
         gains = np.asarray(gain, dtype=np.float64)
-        if gains.ndim > 1 or gains.size == 0 or np.any(gains < 0):
-            raise ValueError("gain must be nonnegative: one value or a nonempty tuple")
+        if gains.ndim > 1 or gains.size == 0 or not np.all(np.isfinite(gains) & (gains >= 0)):
+            raise ValueError("gain must be finite and nonnegative: one value or a nonempty tuple")
         rows = None if gains.ndim == 0 else len(gains)
         for name, value in (("delay_samples", delay_samples), ("sat", sat)):
             if np.ndim(value) != gains.ndim or (rows is not None and len(value) != rows):
                 raise ValueError(f"{name} gives one value per row of a tuple gain")
+        sats = np.array(sat, dtype=np.float64)
+        if not np.all(np.isfinite(sats) & (sats > 0)):
+            raise ValueError("sat must be finite and positive")
         if np.min(delay_samples) < stft_cfg.hop:
             raise ValueError("loop delay must be at least one hop for the reference mirror")
         if (vv_net is None) != (dd_net is None):
@@ -84,11 +86,10 @@ class KalmanAhs:
         else:
             self.gain = gains[:, None]
             self.delay_samples = tuple(int(d) for d in delay_samples)
-            self.sat = np.array(sat, dtype=np.float64)[:, None]
+            self.sat = sats[:, None]
         self.mask_net = mask_net
         self.vv_net = vv_net
         self.dd_net = dd_net
-        self.stop_grad_filter = bool(stop_grad_filter)
         self.latency = stft_cfg.frame_len - stft_cfg.hop
 
         self.filt = KalmanFilter(fdkf_cfg, stft_cfg.num_bins, rows)
@@ -341,9 +342,6 @@ class KalmanAhs:
 
         for k in reversed(range(len(tape))):
             e = tape[k]
-            if self.stop_grad_filter:
-                gW[:] = 0.0
-                gP[:] = 0.0
             X = e["hist"]
             W, P, K, s_hat = e["W"], e["P"], e["K"], e["s_hat"]
             s_mag = s_mags[k]
@@ -415,26 +413,6 @@ class KalmanAhs:
             gW, gP = gW_new, gP_new
         return {name: net.window_grads([e[key] for e in tape], gate_grads[name])
                 for name, net, key in attached}
-
-    # ----------------------------------------------------- state management
-
-    def _shared(self):
-        """deepcopy memo that maps each attached net to itself."""
-        return {id(net): net for net in (self.mask_net, self.vv_net, self.dd_net)
-                if net is not None}
-
-    def snapshot(self):
-        """Deep copy of all stream state; the attached nets are shared, not copied."""
-        state = {k: v for k, v in vars(self).items() if k != "_tape"}
-        return copy.deepcopy(state, self._shared())
-
-    def restore(self, snap):
-        """Reset all stream state to a snapshot taken on this processor.
-
-        The snapshot stays reusable, and an open window is dropped.
-        """
-        vars(self).update(copy.deepcopy(snap, self._shared()))
-        self._tape = None
 
 
 def _take(tree, rows):

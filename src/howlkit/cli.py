@@ -16,6 +16,7 @@ alone.  Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numeric failure.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -317,14 +318,18 @@ def cmd_eval(args) -> None:
 # parser
 
 
-def _parse_gains(text: str):
+def _parse_gain(text: str) -> float:
     try:
-        gains = tuple(float(v) for v in text.split(","))
+        gain = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad gain list {text!r}")
-    if not gains:
-        raise argparse.ArgumentTypeError("gain list is empty")
-    return gains
+        raise argparse.ArgumentTypeError(f"bad gain {text!r}")
+    if not (math.isfinite(gain) and gain >= 0):
+        raise argparse.ArgumentTypeError(f"gain must be finite and >= 0, got {text!r}")
+    return gain
+
+
+def _parse_gains(text: str):
+    return tuple(_parse_gain(v) for v in text.split(","))
 
 
 def _add_common(sub):
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="render closed-loop scenes to WAV sets")
     _add_common(p)
     p.add_argument("--count", type=int, default=4, help="number of scenes")
-    p.add_argument("--gain", type=float, help="force this loop gain (default: sampled)")
+    p.add_argument("--gain", type=_parse_gain, help="force this loop gain (default: sampled)")
     p.add_argument("--duration", type=float,
                    help="scene length in seconds (default: sampler.duration)")
     p.add_argument("--split", choices=("train", "test"), default="test")
@@ -360,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ablation: drop the mask network")
     p.add_argument("--no-cov", action="store_true",
                    help="ablation: drop both covariance networks")
-    p.add_argument("--gain", type=float, help="loop gain (default: config loop.gain)")
+    p.add_argument("--gain", type=_parse_gain, help="loop gain (default: config loop.gain)")
     p.add_argument("--duration", type=float,
                    help="synthetic scene length in seconds (default: sampler.duration)")
     p.add_argument("--scene", type=int, default=0, help="test-split scene index (synthetic)")

@@ -29,13 +29,17 @@ Sections, with the subcommands that read them:
               trainer.seed and its validation scenes with trainer.seed + 17
     paths     out_dir, checkpoint, corpus_dir
 
-Keys that moved exit 2 as unknown keys: loop.duration is sampler.duration,
-trainer.{gain,delay,rt60,coupling}_range are sampler.*_range, and
-neural.stop_grad_filter is trainer.stop_grad_filter.
+Keys that moved or went exit 2 as unknown keys.  Moved: loop.duration is
+sampler.duration, and trainer.{gain,delay,rt60,coupling}_range are
+sampler.*_range.  Gone: trainer.{optimizer,beta1,beta2,opt_eps}, as training
+always runs Adam with fixed moment constants, and trainer.stop_grad_filter
+and neural.stop_grad_filter, as the window gradient always runs through the
+filter recursion.
 """
 
 import copy
 import json
+import math
 from dataclasses import asdict
 
 from .ahs import SuppressorSpec
@@ -109,8 +113,11 @@ class RunConfig:
         self.trainer()
         self.sampler("train")
         loop = self.data["loop"]
-        if loop["gain"] < 0 or loop["delay"] <= 0:
-            raise ConfigError("loop gain must be >= 0 and delay > 0")
+        if not (math.isfinite(loop["gain"]) and loop["gain"] >= 0):
+            raise ConfigError(f"loop.gain must be finite and >= 0, got {loop['gain']}")
+        for key in ("delay", "sat"):
+            if not (math.isfinite(loop[key]) and loop[key] > 0):
+                raise ConfigError(f"loop.{key} must be finite and > 0, got {loop[key]}")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -65,11 +65,11 @@ class LoopScene:
     def __post_init__(self):
         if np.ndim(self.gain):
             raise ValueError("gain must be one number; sweep gains with a list of scene copies")
-        if self.gain < 0:
-            raise ValueError("gain must be nonnegative")
-        if self.sat <= 0:
-            raise ValueError("sat must be positive")
-        if self.delay_samples < 1:
+        if not (np.isfinite(self.gain) and self.gain >= 0):
+            raise ValueError(f"gain must be finite and nonnegative, got {self.gain}")
+        if not (np.isfinite(self.sat) and self.sat > 0):
+            raise ValueError(f"sat must be finite and positive, got {self.sat}")
+        if not np.isfinite(self.delay) or self.delay_samples < 1:
             raise ValueError("delay must round to at least one sample")
         if self.feedback_rir.sample_rate != self.near_end.sample_rate:
             raise ValueError("feedback_rir sample rate differs from near_end")

@@ -124,7 +124,7 @@ def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSi
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 
 
 def _flat_items(tree):
@@ -147,30 +147,14 @@ def _clip_global_norm(grads, clip_norm):
     return norm
 
 
-class SgdOptimizer:
-    """Plain gradient descent with optional global-norm clipping."""
+class AdamOptimizer:
+    """Adaptive moments with bias correction and global-norm clipping."""
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, lr: float = 1e-3, clip_norm: Optional[float] = 5.0):
         self.lr = lr
         self.clip_norm = clip_norm
-
-    def step(self, params, grads):
-        _clip_global_norm(grads, self.clip_norm)
-        flat_params = dict(_flat_items(params))
-        for key, g in _flat_items(grads):
-            flat_params[key] -= self.lr * g
-
-
-class AdamOptimizer:
-    """Adaptive moments with bias correction and global-norm clipping."""
-
-    def __init__(self, lr: float = 1e-3, clip_norm: Optional[float] = 5.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.clip_norm = clip_norm
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
@@ -178,25 +162,14 @@ class AdamOptimizer:
     def step(self, params, grads):
         _clip_global_norm(grads, self.clip_norm)
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1, b2 = self.BETA1, self.BETA2
+        b1c = 1.0 - b1**self.t
+        b2c = 1.0 - b2**self.t
         flat_params = dict(_flat_items(params))
         for key, g in _flat_items(grads):
-            if key not in self.m:
-                self.m[key] = np.zeros_like(g)
-                self.v[key] = np.zeros_like(g)
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * g * g
-            mhat = self.m[key] / b1c
-            vhat = self.v[key] / b2c
-            flat_params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def make_optimizer(cfg):
-    if cfg.optimizer == "adam":
-        return AdamOptimizer(lr=cfg.lr, clip_norm=cfg.clip_norm,
-                             beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.opt_eps)
-    return SgdOptimizer(lr=cfg.lr, clip_norm=cfg.clip_norm)
+            m = self.m[key] = b1 * self.m.get(key, 0.0) + (1.0 - b1) * g
+            v = self.v[key] = b2 * self.v.get(key, 0.0) + (1.0 - b2) * g * g
+            flat_params[key] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +201,7 @@ class TrainConfig:
     lr: float = 1e-3
     lr_decay: float = 1.0          # per-epoch multiplier on the learning rate
     clip_norm: Optional[float] = 5.0
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    opt_eps: float = 1e-8
     seed: int = 0                  # `howlkit train` draws its scene pools with it
-    stop_grad_filter: bool = False
     validation_scenes: int = 4
     validation_gain: float = 2.0
 
@@ -241,7 +209,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "scenes_per_epoch", "t_bptt"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("lr", "beta1", "beta2", "opt_eps", "validation_gain"):
+        for name in ("lr", "validation_gain"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.duration <= 0:
@@ -250,8 +218,6 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive or None")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.validation_scenes < 0:
             raise ValueError("validation_scenes must be nonnegative")
 
@@ -401,14 +367,12 @@ class TrainEvent:
         })
 
 
-def build_ahs(nets, scene, spec: Optional[SuppressorSpec] = None,
-              stop_grad_filter: bool = False) -> KalmanAhs:
+def build_ahs(nets, scene, spec: Optional[SuppressorSpec] = None) -> KalmanAhs:
     """Wrap shared nets in a fresh suppressor sized for one scene, or with
     one row per scene of a list."""
     return KalmanAhs.for_scene(
         scene, spec=spec,
         mask_net=nets.get("mask"), vv_net=nets.get("vv"), dd_net=nets.get("dd"),
-        stop_grad_filter=stop_grad_filter,
     )
 
 
@@ -443,7 +407,7 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
     loss or gradients are non-finite, is cut out of the stack on the spot
     without contributing that window.
     """
-    ahs = build_ahs(nets, scenes, spec=spec, stop_grad_filter=cfg.stop_grad_filter)
+    ahs = build_ahs(nets, scenes, spec=spec)
     hop = ahs.cfg.hop
     for scene in scenes:
         if cfg.t_bptt * hop > scene.delay_samples:
@@ -585,7 +549,7 @@ def train(nets, sampler: SceneSampler, cfg: TrainConfig, val_sampler: Optional[S
     """
     if not nets:
         raise ValueError("no nets to train")
-    optimizer = make_optimizer(cfg)
+    optimizer = AdamOptimizer(cfg.lr, cfg.clip_norm)
     events = []
     # line-buffered so the log can be tailed while training runs
     log_file = open(log_path, "w", buffering=1) if log_path else None

@@ -1,6 +1,6 @@
 """Test helpers that drive the training loop's internals."""
 
-from howlkit.training import _train_batch, make_optimizer
+from howlkit.training import AdamOptimizer, _train_batch
 
 
 def train_scene(nets, scene, cfg, optimizer=None):
@@ -8,6 +8,7 @@ def train_scene(nets, scene, cfg, optimizer=None):
 
     The nets are updated in place, one optimizer step per completed window.
     """
-    events = _train_batch(nets, [scene], cfg, optimizer or make_optimizer(cfg), epoch=0,
+    optimizer = optimizer or AdamOptimizer(cfg.lr, cfg.clip_norm)
+    events = _train_batch(nets, [scene], cfg, optimizer, epoch=0,
                           scene_ids=[f"scene:{scene.seed}"])
     return nets, events[0]

@@ -110,7 +110,7 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
     (SUPPRESS_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}}, EXIT_CONFIG),
     (EVAL_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
     (SUPPRESS_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
-    # moved keys are unknown: sampler.duration, sampler.*_range, trainer.stop_grad_filter
+    # moved keys are unknown: sampler.duration, sampler.*_range
     (["simulate", "--count", 1], {"loop": {"duration": 0.5}}, EXIT_CONFIG),
     (["rir", "--count", 1], {"trainer": {"rt60_range": [0.2, 0.3]}}, EXIT_CONFIG),
     (["eval", "--scenes", 1, "--duration", 0.5], {"trainer": {"gain_range": [1.0, 2.0]}},
@@ -124,6 +124,21 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
     (["simulate", "--count", 1], {"loop": {"gain": "2"}}, EXIT_CONFIG),
     (["simulate", "--count", 1], {"trainer": {"epochs": "3"}}, EXIT_CONFIG),
     (["train", "--synthetic"], dict(TINY_TRAIN, neural={"mask_hidden": 8}), EXIT_CONFIG),
+    # keys that are gone: one optimizer, one gradient path
+    *[(["train", "--synthetic"],
+       dict(TINY_TRAIN, trainer=dict(TINY_TRAIN["trainer"], **{key: value})), EXIT_CONFIG)
+      for key, value in (("optimizer", "sgd"), ("beta1", 0.9), ("beta2", 0.999),
+                         ("opt_eps", 1e-8), ("stop_grad_filter", True))],
+    # a gain that is not finite and >= 0, on the command line or in the config
+    (["simulate", "--count", 1, "--duration", 0.3, "--gain", "nan"], {}, EXIT_CONFIG),
+    (["simulate", "--count", 1, "--duration", 0.3, "--gain", "inf"], {}, EXIT_CONFIG),
+    (["simulate", "--count", 1, "--duration", 0.3, "--gain", "-1"], {}, EXIT_CONFIG),
+    (["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2,nan"], {}, EXIT_CONFIG),
+    (["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2,-1"], {}, EXIT_CONFIG),
+    (["suppress", "--synthetic", "--duration", 0.5], {"loop": {"gain": float("nan")}},
+     EXIT_CONFIG),
+    (["suppress", "--synthetic", "--duration", 0.5, "--gain", "inf"], {}, EXIT_CONFIG),
+    (["suppress", "--in", "{tmp}/mic.wav"], {"loop": {"sat": float("inf")}}, EXIT_CONFIG),
 ], ids=["eval-missing-checkpoint", "eval-zero-delay-scene", "train-short-delay",
         "train-long-window", "suppress-in-short-delay", "suppress-in-none-short-delay",
         "suppress-synthetic-short-delay", "eval-checkpoint-other-taps",
@@ -132,7 +147,11 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
         "suppress-checkpoint-without-spec", "simulate-loop-duration", "rir-trainer-rt60-range",
         "eval-trainer-gain-range", "train-trainer-delay-range",
         "train-neural-stop-grad-filter", "simulate-string-duration", "simulate-string-gain",
-        "simulate-string-epochs", "train-scalar-mask-hidden"])
+        "simulate-string-epochs", "train-scalar-mask-hidden", "train-trainer-optimizer",
+        "train-trainer-beta1", "train-trainer-beta2", "train-trainer-opt-eps",
+        "train-trainer-stop-grad-filter", "simulate-nan-gain", "simulate-inf-gain",
+        "simulate-negative-gain", "eval-nan-gain", "eval-negative-gain",
+        "suppress-nan-loop-gain", "suppress-inf-gain", "suppress-in-inf-loop-sat"])
 def test_refused_runs_write_nothing(tmp_path, capsys, argv, data, code):
     write_wav(tmp_path / "mic.wav", np.full(2000, 0.1), 16000, fmt="float32")
     save_checkpoint(RunConfig().nets(), str(tmp_path / "ckpt"))
@@ -278,7 +297,7 @@ def test_stripped_neural_variant_equals_kalman_bit_exact(tmp_path, capsys):
 
 
 def test_suppress_has_no_stop_grad_filter_flag(tmp_path, capsys):
-    # the filter gradient is cut only in training; suppress never trains
+    # the window gradient always runs through the filter; suppress never trains
     assert run("suppress", "--synthetic", "--stop-grad-filter", "--duration", 0.5,
                "--out", tmp_path / "o") == 2
     assert "--stop-grad-filter" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Run-config schema: defaults, validation, round trips, builders."""
 
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -47,16 +48,22 @@ def test_json_round_trip_is_identity():
     ({"paths": {"输出": "x"}}, "paths"),
     ({"neural": {"mask_scope": "everywhere"}}, "neural.mask_scope"),
     ({"fdkf": {"num_bins": 65}}, "fdkf.num_bins"),  # the filter takes the stft's bins
-    # moved keys: sampler.duration, sampler.*_range, trainer.stop_grad_filter
+    # moved keys: sampler.duration, sampler.*_range
     ({"loop": {"duration": 4.0}}, "loop.duration"),
     ({"trainer": {"gain_range": [1.0, 3.0]}}, "trainer.gain_range"),
     ({"trainer": {"delay_range": [0.15, 0.25]}}, "trainer.delay_range"),
     ({"trainer": {"rt60_range": [0.15, 0.6]}}, "trainer.rt60_range"),
     ({"trainer": {"coupling_range": [2.0, 4.0]}}, "trainer.coupling_range"),
     ({"neural": {"stop_grad_filter": False}}, "neural.stop_grad_filter"),
+    # gone: training runs Adam with fixed constants, through the filter
+    ({"trainer": {"optimizer": "sgd"}}, "trainer.optimizer"),
+    ({"trainer": {"beta1": 0.9}}, "trainer.beta1"),
+    ({"trainer": {"beta2": 0.999}}, "trainer.beta2"),
+    ({"trainer": {"opt_eps": 1e-8}}, "trainer.opt_eps"),
+    ({"trainer": {"stop_grad_filter": False}}, "trainer.stop_grad_filter"),
 ])
 def test_unknown_keys_rejected_with_dotted_path(data, dotted):
-    with pytest.raises(ConfigError, match=dotted.replace(".", r"\.")):
+    with pytest.raises(ConfigError, match="unknown config key: '" + dotted.replace(".", r"\.")):
         RunConfig(data)
 
 
@@ -67,7 +74,7 @@ def test_unknown_keys_rejected_with_dotted_path(data, dotted):
     ({"neural": {"mask_hidden": 8}}, "neural.mask_hidden"),
     ({"neural": {"mask_hidden": [8, 4.5]}}, "neural.mask_hidden"),
     ({"trainer": {"epochs": 3.0}}, "trainer.epochs"),
-    ({"trainer": {"stop_grad_filter": 1}}, "trainer.stop_grad_filter"),
+    ({"trainer": {"clip_norm": "5"}}, "trainer.clip_norm"),  # may be null, not a string
     ({"sampler": {"gain_range": [1.0, None]}}, "sampler.gain_range"),
     ({"loop": {"sat": True}}, "loop.sat"),
     ({"loop": {"gain": None}}, "loop.gain"),
@@ -121,15 +128,13 @@ def test_sampler_validation_becomes_config_error():
 
 
 def test_loop_knobs_validated():
-    with pytest.raises(ConfigError):
-        RunConfig({"loop": {"gain": -1.0}})
-    with pytest.raises(ConfigError):
-        RunConfig({"loop": {"delay": 0.0}})
-
-
-def test_stop_grad_filter_is_a_trainer_key():
-    t = RunConfig({"trainer": {"stop_grad_filter": True}}).trainer()
-    assert t.stop_grad_filter is True
+    for key, bad in (("gain", (-1.0, math.nan, math.inf)),
+                     ("delay", (0.0, -0.1, math.nan, math.inf)),
+                     ("sat", (0.0, -1.0, math.nan, math.inf))):
+        for value in bad:
+            with pytest.raises(ConfigError, match=f"loop.{key} must be finite"):
+                RunConfig({"loop": {key: value}})
+    assert RunConfig({"loop": {"gain": 0.0, "sat": 1e-6}}).loop_knobs()["gain"] == 0.0
 
 
 def test_from_file_round_trip(tmp_path):

@@ -183,6 +183,12 @@ def test_run_scene_validation_errors():
         LoopScene(noise_signal(0.1, 0), Rir(np.array([1.0]), FS), gain=1.0, delay=1e-6)
     with pytest.raises(ValueError, match="sample rate"):
         LoopScene(noise_signal(0.1, 0), Rir(np.array([1.0]), 8000), gain=1.0, delay=0.01)
+    # a gain that is not finite and >= 0, a clip that is not finite and > 0
+    for bad in (dict(gain=np.nan), dict(gain=np.inf), dict(sat=np.nan), dict(sat=np.inf),
+                dict(sat=0.0), dict(delay=np.inf), dict(delay=np.nan)):
+        kwargs = dict(dict(gain=1.0, delay=0.01), **bad)
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            LoopScene(noise_signal(0.1, 0), Rir(np.array([1.0]), FS), **kwargs)
 
 
 def test_run_scene_is_deterministic():
