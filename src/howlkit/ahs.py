@@ -150,7 +150,7 @@ class KalmanAhs:
         and recorded at once, with one Kalman frame per hop.
         """
         hop, y = self.cfg.hop, np.asarray(chunk, dtype=np.float64)
-        if y.shape[-1] == hop:  # one hop, as training and live streams call it
+        if y.shape[-1] == hop:  # one hop, as a live stream calls it
             if self._x_next == self._span:
                 self._mirror_span()
             j = self._x_next

@@ -5,7 +5,8 @@ section is exactly the keyword arguments of one constructor, and every value
 has the library default, so an empty file (or no file at all) reproduces the
 stock pipeline.  Unknown sections or keys are rejected outright, and so
 is a value of another JSON type than its default (any number where the
-default is a number) — a typo should fail loudly, not silently fall back.
+default is a number) or a non-finite number — a typo should fail loudly,
+not silently fall back.
 
 Sections, with the subcommands that read them:
     seed      master seed: the scenes of simulate, suppress --synthetic and
@@ -98,6 +99,9 @@ def _merge(base: dict, override: dict, prefix: str = "") -> dict:
         if not ok:
             raise ConfigError(f"config key {path!r} takes a value like {base[key]!r}, "
                               f"got {value!r}")
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
         base[key] = value
     return base
 

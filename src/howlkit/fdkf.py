@@ -45,10 +45,10 @@ class FdkfConfig:
             raise ValueError("A must be in (0, 1]")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.p_init <= 0:
-            raise ValueError("p_init must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        if not 0.0 < self.p_init < np.inf:
+            raise ValueError("p_init must be finite and positive")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError("eps must be finite and nonnegative")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
 

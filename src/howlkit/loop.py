@@ -31,7 +31,7 @@ class HowlDetectorConfig:
     run_length: int = 100
 
     def __post_init__(self):
-        if self.amp_threshold <= 0:
+        if not self.amp_threshold > 0:
             raise ValueError("amp_threshold must be positive")
         if self.run_length < 1:
             raise ValueError("run_length must be at least 1")
@@ -189,21 +189,20 @@ def delayed(x, t, span, delays):
 class ClosedLoop:
     """Resumable closed-loop engine.
 
-    run_scene drives one start to finish a span at a time (``step_span``);
-    training drives it frame by frame (``step_frame``) so weight updates can
-    interleave with the simulation, and the two steps mix freely.  ``ahs``
-    is called with any whole number k >= 1 of frames, (..., k * frame_size)
-    microphone samples, and must return that many output samples; its fixed
-    pipeline delay is read from ``ahs.latency`` (0 when absent).
-    ``frame_size`` may not exceed the scene delay — each frame is handed
-    over before its own output can reach the microphone.  Trailing samples
-    that do not fill a whole frame are dropped.
+    ``step(k)`` advances up to k frames with one suppressor call, and
+    ``step()`` the rest of the filled span; run_scene steps whole spans, and
+    training steps the pieces of its BPTT windows, so weight updates can
+    interleave with the simulation.  ``ahs`` is called with any whole number
+    k >= 1 of frames, (..., k * frame_size) microphone samples, and must
+    return that many output samples; its fixed pipeline delay is read from
+    ``ahs.latency`` (0 when absent).  ``frame_size`` may not exceed the scene
+    delay — each frame is handed over before its own output can reach the
+    microphone.  Trailing samples that do not fill a whole frame are dropped.
 
     ``scene`` may also be a stack: a list of scenes of equal length, one per
     row, each with its own target, gain, delay, clip and feedback path (a
     gain sweep is a stack of gain copies of one scene).  Then every stream
     is (B, n) but ``s``, which lists views of the scenes' own targets.
-    ``s_frame`` holds the target samples of the frame last stepped.
     ``howl_event`` is a list with one entry per row, and ``ahs`` maps
     (B, k * frame_size) chunks to (B, k * frame_size) chunks.  Each row is
     bitwise the run its scene gives alone.
@@ -212,8 +211,8 @@ class ClosedLoop:
     a frame not yet stepped, so ``d`` and ``y`` are filled a span at a time
     (the most whole frames within the shortest row delay) by one feedback
     path call, and may hold samples up to one span beyond ``frames_done``.
-    ``step_span`` hands the suppressor the rest of the filled span in one
-    call.  ``result()`` still truncates every stream to the frames run.
+    A step never crosses the end of the filled span.  ``result()`` still
+    truncates every stream to the frames run.
     """
 
     def __init__(self, scene, ahs, det: Optional[HowlDetectorConfig] = None,
@@ -259,7 +258,6 @@ class ClosedLoop:
         self.x = np.zeros(lead + (n,))
         self.d = np.zeros(lead + (n,))
         self.howl_event = None if rows is None else [None] * rows
-        self._frame_shape = lead + (frame_size,)
         self._carry = 0
         self._t = 0
         self._end = 0  # d and y are filled up to here
@@ -271,20 +269,6 @@ class ClosedLoop:
     @property
     def frames_done(self) -> int:
         return self._t // self.frame_size
-
-    @property
-    def s_frame(self):
-        """Target samples of the frame last stepped, (B, frame_size) for a
-        stack; None before the first step."""
-        if self._t == 0:
-            return None
-        sl = slice(self._t - self.frame_size, self._t)
-        if self.rows is None:
-            return self.s[sl]
-        frame = np.empty(self._frame_shape)
-        for row, s in enumerate(self.s):
-            frame[row] = s[sl]
-        return frame
 
     def keep(self, rows):
         """Continue a stack with only these rows, in this order.
@@ -302,32 +286,27 @@ class ClosedLoop:
         self._sat = self._sat[rows]
         if np.ndim(self._carry):
             self._carry = self._carry[rows]
-        self._frame_shape = (self.rows, self.frame_size)
         self._conv.keep(rows)
         if hasattr(self.ahs, "keep"):
             self.ahs.keep(rows)
 
-    def step_frame(self) -> bool:
-        """Advance one frame; returns True if howling fired within it (in
-        any row of a stack)."""
-        return self._step(False)
-
-    def step_span(self) -> bool:
-        """Advance every frame up to the end of the filled span (filling
-        the next span first when none is left) with one suppressor call;
-        returns True if howling fired within them (in any row of a stack)."""
-        return self._step(True)
-
-    def _step(self, span):
+    def step(self, frames: Optional[int] = None) -> bool:
+        """Advance up to ``frames`` frames, or with None every frame up to
+        the end of the filled span, with one suppressor call; the next span
+        is filled first when none is left, and a step never crosses its end.
+        Returns True if howling fired within the frames stepped (in any row
+        of a stack)."""
+        if frames is not None and frames < 1:
+            raise ValueError(f"a step covers at least one frame, got {frames}")
         if self.frames_done >= self.total_frames:
             raise RuntimeError("scene already fully processed")
         t = self._t
         if t == self._end:
             self._fill(t)
-        n = self._end - t if span else self.frame_size
+        n = self._end - t if frames is None else min(self._end - t, frames * self.frame_size)
         sl = slice(t, t + n)
         out = np.asarray(self.ahs(self.y[..., sl]), dtype=np.float64)
-        if out.shape != self._frame_shape[:-1] + (n,):
+        if out.shape != self.y.shape[:-1] + (n,):
             raise ValueError("suppressor returned a chunk of the wrong length")
         self.s_hat[..., sl] = out
         # np.clip's values for a clip above 0, without its wrapper's overhead
@@ -343,6 +322,11 @@ class ClosedLoop:
                         self.howl_event[row] = t + int(hit[row])
         self._t = t + n
         return hit is not None
+
+    def step_frame(self) -> bool:
+        """``step(1)``: the hop-by-hop stream the benchmark's live workload
+        and hop probe time, one suppressor call per frame."""
+        return self.step(1)
 
     def _fill(self, t):
         """Microphone samples of the span from ``t``: the target plus the
@@ -401,7 +385,7 @@ def run_scene(scene: LoopScene, ahs, det: Optional[HowlDetectorConfig] = None,
     """
     engine = ClosedLoop(scene, ahs, det=det, frame_size=frame_size)
     while engine.frames_done < engine.total_frames:
-        engine.step_span()
+        engine.step()
     return engine.result()
 
 

@@ -87,8 +87,8 @@ def synth_speech(seed: int, duration: float, sample_rate: int = 16000) -> TimeSi
     without loading scipy.signal, the largest import the package would
     otherwise make.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError("duration must be positive and finite")
     fs = sample_rate
     rng = np.random.default_rng([int(seed), 0x5B])
     n, edge = _check_synth_duration(duration, fs)
@@ -181,8 +181,8 @@ def _check_range(name, rng_pair, lo=None, hi=None):
         a, b = (float(v) for v in rng_pair)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be a (low, high) pair, got {rng_pair!r}") from None
-    if not a <= b:
-        raise ValueError(f"{name} must be (low, high) with low <= high, got {rng_pair}")
+    if not -math.inf < a <= b < math.inf:
+        raise ValueError(f"{name} must be (low, high) with low <= high, finite, got {rng_pair}")
     if lo is not None and a < lo:
         raise ValueError(f"{name} low bound {a} below minimum {lo}")
     if hi is not None and b > hi:
@@ -210,12 +210,12 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("lr", "validation_gain"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be finite and positive, or None")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
         if self.validation_scenes < 0:
@@ -261,8 +261,8 @@ class SceneSampler:
                  rt60_range=(0.15, 0.6), coupling_range=(2.0, 4.0)):
         if split not in _SPLIT_TAGS:
             raise ValueError(f"split must be one of {sorted(_SPLIT_TAGS)}, got {split!r}")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {duration}")
         if utterances is None:
             _check_synth_duration(duration, sample_rate)
         else:
@@ -346,7 +346,9 @@ class TrainEvent:
 
     ``loss`` is the mean over this scene's completed finite-loss windows
     (0.0 if the scene aborted before any window closed).  ``howl_sample``
-    is the detector's firing index when ``howl_abort`` is set.
+    is the detector's firing index when ``howl_abort`` is set; ``frames``
+    then ends with the frame it fired in, and ``clamp_events`` is read at
+    the end of that piece (P turns negative, if ever, only by rounding).
     """
 
     epoch: int
@@ -384,7 +386,7 @@ def _assert_finite_weights(nets):
     for name, net in nets.items():
         for key, arr in net.params.items():
             if not np.all(np.isfinite(arr)):
-                raise RuntimeError(f"non-finite weight in net {name!r} parameter {key!r}")
+                raise ArithmeticError(f"non-finite weight in net {name!r} parameter {key!r}")
 
 
 def _finite_rows(losses, grads):
@@ -400,21 +402,20 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
     """Run a batch of equally long scenes as one stack, with
     window-synchronized updates.
 
-    Every scene is one row of a single closed loop and suppressor, so all
-    rows advance in one hop and close their windows together.  Each
-    window's per-row gradients are averaged over the rows in scene order
-    and applied as one optimizer step.  A row that howls, or whose window
-    loss or gradients are non-finite, is cut out of the stack on the spot
-    without contributing that window.
+    Every scene is one row of a single closed loop and suppressor.  The
+    rows advance together, one suppressor call per piece (the rest of the
+    window, cut where the loop's filled span ends), and close their windows
+    together.  Each window's per-row gradients are averaged over the rows
+    in scene order and applied as one optimizer step.  A row that howls (at its piece's
+    end), or whose window loss or gradients are non-finite, is cut out of
+    the stack without contributing that window.
     """
     ahs = build_ahs(nets, scenes, spec=spec)
-    hop = ahs.cfg.hop
-    for scene in scenes:
-        if cfg.t_bptt * hop > scene.delay_samples:
-            raise ValueError(
-                f"t_bptt window ({cfg.t_bptt} frames x {hop} samples) exceeds the "
-                f"loop delay ({scene.delay_samples} samples); in-window feedback "
-                "would be ignored by the window gradients")
+    hop, delay = ahs.cfg.hop, min(scene.delay_samples for scene in scenes)
+    if cfg.t_bptt * hop > delay:
+        raise ValueError(
+            f"t_bptt window ({cfg.t_bptt} frames x {hop} samples) exceeds the loop delay "
+            f"({delay} samples); in-window feedback would be ignored by the window gradients")
     engine = ClosedLoop(scenes, ahs, det=det, frame_size=hop)
     target_stft = StreamingStft(ahs.cfg, len(scenes))
     live = list(range(len(scenes)))  # scene index of each remaining row
@@ -425,7 +426,8 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
 
     def drop(gone):
         for row in gone:
-            frames[live[row]] = engine.frames_done
+            at = howl_sample[live[row]] = engine.howl_event[row]
+            frames[live[row]] = engine.frames_done if at is None else at // hop + 1
             clamps[live[row]] = int(ahs.filt.clamps[row])
         kept = [row for row in range(len(live)) if row not in gone]
         live[:] = [live[row] for row in kept]
@@ -434,25 +436,25 @@ def _train_batch(nets, scenes, cfg: TrainConfig, optimizer, epoch: int, scene_id
             target_stft.keep(kept)
             window[:] = [mags[kept] for mags in window]
 
-    window = []  # target magnitudes of the open window, one (rows, bins) per frame
+    window = []  # target magnitudes of the open window, one (rows, k, bins) per piece
     if engine.total_frames:
         ahs.begin_window()
     while live and engine.frames_done < engine.total_frames:
-        engine.step_frame()
-        window.append(np.abs(target_stft.push(engine.s_frame)))
+        t0 = engine.frames_done * hop
+        engine.step(cfg.t_bptt - ahs.window_frames)
+        piece = np.array([s[t0:engine.frames_done * hop] for s in engine.s])
+        window.append(np.abs(target_stft.push(piece.reshape(len(live), -1, hop))))
         howled = [row for row, at in enumerate(engine.howl_event) if at is not None]
         if howled:
             # a diverging suppressor must not contribute a weight update: its
             # half-built window goes with its row
-            for row in howled:
-                howl_sample[live[row]] = engine.howl_event[row]
             drop(howled)
         if not live:
             break
         ended = engine.frames_done >= engine.total_frames
         if ahs.window_frames < cfg.t_bptt and not ended:
             continue
-        window_losses, grads = ahs.end_window(np.array(window))
+        window_losses, grads = ahs.end_window(np.moveaxis(np.concatenate(window, axis=1), 1, 0))
         window = []
         ok = _finite_rows(window_losses, grads)
         good, bad = np.flatnonzero(ok).tolist(), np.flatnonzero(~ok).tolist()

@@ -89,69 +89,88 @@ SUPPRESS_CKPT = ["suppress", "--synthetic", "--duration", 0.5, "--variant", "neu
                  "--checkpoint"]
 
 
+def refused(argv, data, name, code=EXIT_CONFIG):
+    """One refused run: its arguments, its config, its test id and exit code."""
+    return pytest.param(argv, data, code, id=name)
+
+
+def train_with(**trainer):
+    """TINY_TRAIN with these trainer keys added."""
+    return dict(TINY_TRAIN, trainer=dict(TINY_TRAIN["trainer"], **trainer))
+
+
+SIMULATE, EVAL = ["simulate", "--count", 1], ["eval", "--scenes", 1, "--duration", 0.5]
+SUPPRESS, TRAIN = ["suppress", "--synthetic", "--duration", 0.5], ["train", "--synthetic"]
+
+
 @pytest.mark.parametrize("argv, data, code", [
-    (["eval", "--checkpoint", "{tmp}/nope", "--scenes", 1, "--duration", 0.5], {}, EXIT_IO),
+    refused(["eval", "--checkpoint", "{tmp}/nope", "--scenes", 1, "--duration", 0.5], {},
+            "eval-missing-checkpoint", EXIT_IO),
     # a delay of 0.08 samples rounds to none: LoopScene refuses the drawn scene
-    (["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2"],
-     {"sampler": {"delay_range": [0.0, 5e-6]}}, EXIT_CONFIG),
-    (["train", "--synthetic"], dict(TINY_TRAIN, sampler={"delay_range": [0.01, 0.02]}),
-     EXIT_CONFIG),
-    (["train", "--synthetic"], dict(TINY_TRAIN, trainer=dict(
-        TINY_TRAIN["trainer"], t_bptt=64)), EXIT_CONFIG),
-    (["suppress", "--in", "{tmp}/mic.wav"], {"loop": {"delay": 0.002}}, EXIT_CONFIG),
-    (["suppress", "--in", "{tmp}/mic.wav", "--variant", "none"],
-     {"loop": {"delay": 0.002}}, EXIT_CONFIG),
-    (["suppress", "--synthetic", "--duration", 0.5],
-     {"sampler": {"delay_range": [0.002, 0.003]}}, EXIT_CONFIG),
+    refused(EVAL + ["--gains", "2"], {"sampler": {"delay_range": [0.0, 5e-6]}},
+            "eval-zero-delay-scene"),
+    refused(TRAIN, dict(TINY_TRAIN, sampler={"delay_range": [0.01, 0.02]}), "train-short-delay"),
+    refused(TRAIN, train_with(t_bptt=64), "train-long-window"),
+    refused(["suppress", "--in", "{tmp}/mic.wav"], {"loop": {"delay": 0.002}},
+            "suppress-in-short-delay"),
+    refused(["suppress", "--in", "{tmp}/mic.wav", "--variant", "none"],
+            {"loop": {"delay": 0.002}}, "suppress-in-none-short-delay"),
+    refused(SUPPRESS, {"sampler": {"delay_range": [0.002, 0.003]}},
+            "suppress-synthetic-short-delay"),
     # {tmp}/ckpt records the default suppressor, {tmp}/bare records none
-    (EVAL_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}}, EXIT_CONFIG),
-    (SUPPRESS_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}}, EXIT_CONFIG),
-    (EVAL_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}}, EXIT_CONFIG),
-    (SUPPRESS_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}}, EXIT_CONFIG),
-    (EVAL_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
-    (SUPPRESS_CKPT + ["{tmp}/bare"], {}, EXIT_CONFIG),
+    refused(EVAL_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}}, "eval-checkpoint-other-taps"),
+    refused(SUPPRESS_CKPT + ["{tmp}/ckpt"], {"fdkf": {"num_taps": 8}},
+            "suppress-checkpoint-other-taps"),
+    refused(EVAL_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}},
+            "eval-checkpoint-other-frame-len"),
+    refused(SUPPRESS_CKPT + ["{tmp}/ckpt"], {"stft": {"frame_len": 256, "hop": 128}},
+            "suppress-checkpoint-other-frame-len"),
+    refused(EVAL_CKPT + ["{tmp}/bare"], {}, "eval-checkpoint-without-spec"),
+    refused(SUPPRESS_CKPT + ["{tmp}/bare"], {}, "suppress-checkpoint-without-spec"),
     # moved keys are unknown: sampler.duration, sampler.*_range
-    (["simulate", "--count", 1], {"loop": {"duration": 0.5}}, EXIT_CONFIG),
-    (["rir", "--count", 1], {"trainer": {"rt60_range": [0.2, 0.3]}}, EXIT_CONFIG),
-    (["eval", "--scenes", 1, "--duration", 0.5], {"trainer": {"gain_range": [1.0, 2.0]}},
-     EXIT_CONFIG),
-    (["train", "--synthetic"], dict(TINY_TRAIN, trainer=dict(
-        TINY_TRAIN["trainer"], delay_range=[0.15, 0.25])), EXIT_CONFIG),
-    (["train", "--synthetic"], dict(TINY_TRAIN, neural={"stop_grad_filter": True}),
-     EXIT_CONFIG),
+    refused(SIMULATE, {"loop": {"duration": 0.5}}, "simulate-loop-duration"),
+    refused(["rir", "--count", 1], {"trainer": {"rt60_range": [0.2, 0.3]}},
+            "rir-trainer-rt60-range"),
+    refused(EVAL, {"trainer": {"gain_range": [1.0, 2.0]}}, "eval-trainer-gain-range"),
+    refused(TRAIN, train_with(delay_range=[0.15, 0.25]), "train-trainer-delay-range"),
+    refused(TRAIN, dict(TINY_TRAIN, neural={"stop_grad_filter": True}),
+            "train-neural-stop-grad-filter"),
     # a value of another JSON type than its default
-    (["simulate", "--count", 1], {"sampler": {"duration": "4"}}, EXIT_CONFIG),
-    (["simulate", "--count", 1], {"loop": {"gain": "2"}}, EXIT_CONFIG),
-    (["simulate", "--count", 1], {"trainer": {"epochs": "3"}}, EXIT_CONFIG),
-    (["train", "--synthetic"], dict(TINY_TRAIN, neural={"mask_hidden": 8}), EXIT_CONFIG),
+    refused(SIMULATE, {"sampler": {"duration": "4"}}, "simulate-string-duration"),
+    refused(SIMULATE, {"loop": {"gain": "2"}}, "simulate-string-gain"),
+    refused(SIMULATE, {"trainer": {"epochs": "3"}}, "simulate-string-epochs"),
+    refused(TRAIN, dict(TINY_TRAIN, neural={"mask_hidden": 8}), "train-scalar-mask-hidden"),
     # keys that are gone: one optimizer, one gradient path
-    *[(["train", "--synthetic"],
-       dict(TINY_TRAIN, trainer=dict(TINY_TRAIN["trainer"], **{key: value})), EXIT_CONFIG)
+    *[refused(TRAIN, train_with(**{key: value}), f"train-trainer-{key.replace('_', '-')}")
       for key, value in (("optimizer", "sgd"), ("beta1", 0.9), ("beta2", 0.999),
                          ("opt_eps", 1e-8), ("stop_grad_filter", True))],
     # a gain that is not finite and >= 0, on the command line or in the config
-    (["simulate", "--count", 1, "--duration", 0.3, "--gain", "nan"], {}, EXIT_CONFIG),
-    (["simulate", "--count", 1, "--duration", 0.3, "--gain", "inf"], {}, EXIT_CONFIG),
-    (["simulate", "--count", 1, "--duration", 0.3, "--gain", "-1"], {}, EXIT_CONFIG),
-    (["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2,nan"], {}, EXIT_CONFIG),
-    (["eval", "--scenes", 1, "--duration", 0.5, "--gains", "2,-1"], {}, EXIT_CONFIG),
-    (["suppress", "--synthetic", "--duration", 0.5], {"loop": {"gain": float("nan")}},
-     EXIT_CONFIG),
-    (["suppress", "--synthetic", "--duration", 0.5, "--gain", "inf"], {}, EXIT_CONFIG),
-    (["suppress", "--in", "{tmp}/mic.wav"], {"loop": {"sat": float("inf")}}, EXIT_CONFIG),
-], ids=["eval-missing-checkpoint", "eval-zero-delay-scene", "train-short-delay",
-        "train-long-window", "suppress-in-short-delay", "suppress-in-none-short-delay",
-        "suppress-synthetic-short-delay", "eval-checkpoint-other-taps",
-        "suppress-checkpoint-other-taps", "eval-checkpoint-other-frame-len",
-        "suppress-checkpoint-other-frame-len", "eval-checkpoint-without-spec",
-        "suppress-checkpoint-without-spec", "simulate-loop-duration", "rir-trainer-rt60-range",
-        "eval-trainer-gain-range", "train-trainer-delay-range",
-        "train-neural-stop-grad-filter", "simulate-string-duration", "simulate-string-gain",
-        "simulate-string-epochs", "train-scalar-mask-hidden", "train-trainer-optimizer",
-        "train-trainer-beta1", "train-trainer-beta2", "train-trainer-opt-eps",
-        "train-trainer-stop-grad-filter", "simulate-nan-gain", "simulate-inf-gain",
-        "simulate-negative-gain", "eval-nan-gain", "eval-negative-gain",
-        "suppress-nan-loop-gain", "suppress-inf-gain", "suppress-in-inf-loop-sat"])
+    refused(SIMULATE + ["--duration", 0.3, "--gain", "nan"], {}, "simulate-nan-gain"),
+    refused(SIMULATE + ["--duration", 0.3, "--gain", "inf"], {}, "simulate-inf-gain"),
+    refused(SIMULATE + ["--duration", 0.3, "--gain", "-1"], {}, "simulate-negative-gain"),
+    refused(EVAL + ["--gains", "2,nan"], {}, "eval-nan-gain"),
+    refused(EVAL + ["--gains", "2,-1"], {}, "eval-negative-gain"),
+    refused(SUPPRESS, {"loop": {"gain": float("nan")}}, "suppress-nan-loop-gain"),
+    refused(SUPPRESS + ["--gain", "inf"], {}, "suppress-inf-gain"),
+    refused(["suppress", "--in", "{tmp}/mic.wav"], {"loop": {"sat": float("inf")}},
+            "suppress-in-inf-loop-sat"),
+    # no config key takes NaN or an infinity
+    refused(TRAIN, train_with(lr=float("nan")), "train-nan-lr"),
+    refused(TRAIN, train_with(lr=float("inf")), "train-inf-lr"),
+    refused(TRAIN, train_with(clip_norm=float("nan")), "train-nan-clip-norm"),
+    refused(TRAIN, train_with(validation_gain=float("inf")), "train-inf-validation-gain"),
+    refused(SUPPRESS, {"fdkf": {"p_init": float("nan")}}, "suppress-nan-p-init"),
+    refused(SUPPRESS, {"fdkf": {"p_init": float("inf")}}, "suppress-inf-p-init"),
+    refused(SUPPRESS, {"fdkf": {"eps": float("inf")}}, "suppress-inf-eps"),
+    refused(SIMULATE, {"detector": {"amp_threshold": float("nan")}},
+            "simulate-nan-amp-threshold"),
+    refused(SIMULATE, {"sampler": {"gain_range": [1.0, float("inf")]}},
+            "simulate-inf-gain-range"),
+    # nor does --duration, which bypasses the config
+    *[refused(argv + ["--duration", value], TINY_TRAIN if argv == TRAIN else {},
+              f"{argv[0]}-{value}-duration")
+      for argv in (SIMULATE, ["eval", "--scenes", 1], TRAIN) for value in ("nan", "inf")],
+])
 def test_refused_runs_write_nothing(tmp_path, capsys, argv, data, code):
     write_wav(tmp_path / "mic.wav", np.full(2000, 0.1), 16000, fmt="float32")
     save_checkpoint(RunConfig().nets(), str(tmp_path / "ckpt"))

@@ -283,6 +283,10 @@ def test_config_validation():
         FdkfConfig(p_init=0.0)
     with pytest.raises(ValueError):
         FdkfConfig(eps=-1e-3)
+    for bad in (dict(p_init=np.nan), dict(p_init=np.inf), dict(eps=np.nan), dict(eps=np.inf),
+                dict(A=np.nan), dict(alpha=np.nan), dict(beta=np.nan)):
+        with pytest.raises(ValueError, match="must be"):
+            FdkfConfig(**bad)
     with pytest.raises(ValueError):
         FdkfConfig(beta=1.0)
 

@@ -189,6 +189,12 @@ def test_run_scene_validation_errors():
         kwargs = dict(dict(gain=1.0, delay=0.01), **bad)
         with pytest.raises(ValueError, match=next(iter(bad))):
             LoopScene(noise_signal(0.1, 0), Rir(np.array([1.0]), FS), **kwargs)
+    # a NaN threshold would switch howl detection off
+    for bad in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="amp_threshold"):
+            HowlDetectorConfig(amp_threshold=bad)
+    with pytest.raises(ValueError, match="at least one frame"):
+        ClosedLoop(scene, IdentityAhs()).step(0)
 
 
 def test_run_scene_is_deterministic():
@@ -427,11 +433,11 @@ def test_stack_rows_share_their_scenes_targets():
     for row, scene in zip(run_scene(scenes, IdentityAhs()), scenes):
         assert np.shares_memory(row.s, scene.target())
     engine = ClosedLoop(scenes, IdentityAhs())
-    engine.step_frame()
+    engine.step(1)
     engine.keep([2, 0])
-    engine.step_frame()
-    assert engine.s_frame.tobytes() == np.stack([scenes[2].target()[64:128],
-                                                 scenes[0].target()[64:128]]).tobytes()
+    engine.step(1)
+    for s, scene in zip(engine.s, (scenes[2], scenes[0])):
+        assert s[64:128].tobytes() == scene.target()[64:128].tobytes()
     for row, scene in zip(engine.result(), (scenes[2], scenes[0])):
         assert np.shares_memory(row.s, scene.target())
 
@@ -582,11 +588,11 @@ def test_run_scene_with_kalman_equals_per_hop_reference_bitwise(delay):
     assert_matches_reference(row, ref)
 
 
-# which step each frame count takes: frame, span, or frames then spans
+# the frame count of each step: one frame, the rest of the span (None), or a mix
 STEP_PATTERNS = {
-    "frames": lambda i: "frame",
-    "spans": lambda i: "span",
-    "mixed": lambda i: ("frame", "frame", "span", "frame", "span", "span")[i % 6],
+    "frames": lambda i: 1,
+    "spans": lambda i: None,
+    "mixed": lambda i: (1, 5, None, 1, 40, None, 3)[i % 7],
 }
 
 
@@ -602,8 +608,7 @@ def test_mixed_frame_and_span_steps_give_the_same_bits(stacked):
         i, fired[name] = 0, []
         while engine.frames_done < engine.total_frames:
             start = engine.frames_done
-            step = engine.step_frame if pattern(i) == "frame" else engine.step_span
-            howled = step()
+            howled = engine.step(pattern(i))
             fired[name].append((start, engine.frames_done, howled))
             i += 1
         results[name] = np.atleast_1d(engine.result())

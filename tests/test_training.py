@@ -174,8 +174,9 @@ def test_resonators_equal_lfilter_bitwise_on_edge_values(leading, samples, secti
 
 
 def test_synth_speech_rejects_bad_duration():
-    with pytest.raises(ValueError, match="duration"):
-        synth_speech(0, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            synth_speech(0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,13 @@ def test_config_validation():
         TrainConfig(duration=0.0)
     with pytest.raises(ValueError, match="clip_norm"):
         TrainConfig(clip_norm=0.0)
+    for name in ("lr", "clip_norm", "validation_gain", "duration", "lr_decay"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: bad})
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            SceneSampler(duration=bad)
     TrainConfig(lr=0.0)  # zero learning rate is allowed (no-op training)
 
 
@@ -255,6 +263,8 @@ def test_sampler_rejects_empty_utterance_pool():
     ({"delay_range": (0.3, 0.2)}, r"delay_range must be \(low, high\) with low <= high"),
     ({"coupling_range": (1.0, 2.0, 3.0)}, r"coupling_range must be a \(low, high\) pair"),
     ({"gain_range": 2.0}, r"gain_range must be a \(low, high\) pair"),
+    ({"coupling_range": (2.0, math.inf)}, "coupling_range .* finite, got"),
+    ({"delay_range": (math.nan, 0.2)}, "delay_range .* finite, got"),
 ])
 def test_sampler_validates_its_ranges(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -527,6 +537,36 @@ def test_howling_row_drops_out_mid_window(monkeypatch):
     assert [e.howl_abort for e in events] == [False, True, False]
     assert cfg.t_bptt < events[1].frames < events[0].frames
     assert events[1].frames % cfg.t_bptt != 0
+
+
+def test_training_calls_the_suppressor_once_per_piece(monkeypatch):
+    # 40-frame spans (the 0.16 s delay) and 32-frame windows: each call
+    # runs up to the next window end or span end, whichever comes first
+    real_call = KalmanAhs.__call__
+    calls = []
+
+    def call(self, y_chunk):
+        calls.append(y_chunk.shape)
+        return real_call(self, y_chunk)
+
+    monkeypatch.setattr(KalmanAhs, "__call__", call)
+    cfg = TrainConfig(duration=0.5)
+    scenes = [stack_scene(8, 1.0, 0.16), stack_scene(9, 1.2, 0.2)]
+    _train_batch(small_nets(), scenes, cfg, RecordingOptimizer(), epoch=0, scene_ids=["a", "b"])
+    total, span = int(0.5 * FS) // HOP, int(0.16 * FS) // HOP
+    ends = sorted({*range(cfg.t_bptt, total, cfg.t_bptt), *range(span, total, span), total})
+    assert calls == [(2, int(k) * HOP) for k in np.diff([0] + ends)]
+    assert len(calls) == 7  # not one per hop (125)
+
+
+def test_non_finite_weights_are_a_numeric_failure():
+    class Poison(RecordingOptimizer):
+        def step(self, params, grads):
+            params["mask"]["b_out"][...] = np.nan
+
+    with pytest.raises(ArithmeticError, match="non-finite weight"):
+        _train_batch(small_nets(), [quick_scene(0.5)], TrainConfig(duration=0.5), Poison(),
+                     epoch=0, scene_ids=["s"])
 
 
 def test_validation_stack_equals_the_solo_loop():
